@@ -43,11 +43,9 @@ from .enumeration import (  # noqa: F401
 )
 from .charging import (  # noqa: F401
     DyadicRational,
-    FamilyRecord,
     charge_audit,
     family_census,
     family_charge_profile,
-    family_records,
     family_members,
     family_root,
     graph_charge_v0,
@@ -66,9 +64,7 @@ from .constructions import (  # noqa: F401
 )
 from .verify import (  # noqa: F401
     VerificationReport,
-    harmonic_residual,
     run_claims,
-    stirling_bounds,
     verify_graph_charge_cap,
     verify_previous_lower,
     verify_triangulation_degree_lemmas,

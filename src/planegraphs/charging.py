@@ -80,40 +80,20 @@ class DyadicRational:
         return self.numerator / (1 << self.exponent)
 
 
-@dataclass(frozen=True)
-class FamilyRecord:
-    """A family identified by its root: the graph where `point` is isolated."""
-
-    point: int
-    root: PlaneGraph
-    visibility_j: int
-
-    @property
-    def member_count(self) -> int:
-        return 1 << self.visibility_j
-
-
 def visibility(ps: PointSet, g: PlaneGraph, p: int) -> int:
     """Number of q != p with segment pq absent from g and crossing no edge of g."""
     ws = workspace(ps)
-    pair = ws.table.pair_index[p]
-    edges = g.edges
-    count = 0
-    for q in range(ps.n):
-        if q == p:
-            continue
-        k = pair[q]
-        bit = 1 << k
-        if not (edges & bit) and not (ws.cross[k] & edges):
-            count += 1
-    return count
+    return (ws.table.incident_masks[p] & ~g.edges & ~ws.blocked(g.edges)).bit_count()
 
 
 def potential(ps: PointSet, g: PlaneGraph, p: int) -> int:
-    """deg_g(p) plus the visibility of p in g; equals the family's visibility."""
+    """deg_g(p) plus the visibility of p in g; equals the family's visibility.
+
+    The edges of a plane graph cross none of its edges, so this counts the
+    segments at p outside blocked(g).
+    """
     ws = workspace(ps)
-    deg = (g.edges & ws.table.incident_masks[p]).bit_count()
-    return deg + visibility(ps, g, p)
+    return (ws.table.incident_masks[p] & ~ws.blocked(g.edges)).bit_count()
 
 
 def family_root(ps: PointSet, g: PlaneGraph, p: int) -> PlaneGraph:
@@ -127,31 +107,17 @@ def family_members(ps: PointSet, root: PlaneGraph, p: int) -> list[PlaneGraph]:
     ws = workspace(ps)
     if root.edges & ws.table.incident_masks[p]:
         raise ValueError(f"point {p} is not isolated in the given root graph")
-    pair = ws.table.pair_index[p]
-    visible_segs = [
-        pair[q]
-        for q in range(ps.n)
-        if q != p and not (ws.cross[pair[q]] & root.edges)
-    ]
+    visible = ws.table.incident_masks[p] & ~ws.blocked(root.edges)
     members = []
-    for sub in range(1 << len(visible_segs)):
-        add = 0
-        ss = sub
-        while ss:
-            lsb = ss & -ss
-            add |= 1 << visible_segs[lsb.bit_length() - 1]
-            ss ^= lsb
-        blocked = 0
-        mm = add
-        while mm:
-            lsb = mm & -mm
-            blocked |= ws.cross[lsb.bit_length() - 1]
-            mm ^= lsb
+    add = 0
+    while True:  # submasks of `visible` in increasing order
         edges = root.edges | add
-        if blocked & edges:
+        if ws.blocked(add) & edges:
             raise AssertionError("family member has a crossing pair")
         members.append(PlaneGraph(edges, ps.n))
-    return members
+        add = (add - visible) & visible
+        if not add:
+            return members
 
 
 def family_charge_profile(i: int, j: int) -> Fraction:
@@ -192,11 +158,10 @@ def max_family_charge(i: int) -> tuple[tuple[int, ...], Fraction]:
 
 def graph_charge_v0(ps: PointSet, g: PlaneGraph) -> DyadicRational:
     """Total redistributed 0-ving charge sitting in g: sum_p 2^-pt(p, g)."""
-    n = ps.n
-    top = n - 1  # potential is at most n-1
-    num = 0
-    for p in range(n):
-        num += 1 << (top - potential(ps, g, p))
+    ws = workspace(ps)
+    top = ps.n - 1  # potential is at most n-1
+    free = ~ws.blocked(g.edges)
+    num = sum(1 << (top - (inc & free).bit_count()) for inc in ws.table.incident_masks)
     return DyadicRational(num, top)
 
 
@@ -248,50 +213,22 @@ def lp_charge_cap(n: int) -> Fraction:
     return best
 
 
-def family_records(ps: PointSet, p: int, max_n: int | None = None) -> list[FamilyRecord]:
-    """Every family of point p, identified by its root.
+def family_census(ps: PointSet, p: int, max_n: int | None = None) -> dict[int, int]:
+    """census[j] = number of families of point p with visibility j.
 
     Family roots of p are exactly the plane graphs in which p is isolated,
     enumerated as the crossing-free subsets of the non-incident segments.
     """
     _check_cap(ps, max_n)
     ws = workspace(ps)
-    pair = ws.table.pair_index[p]
-    cross = ws.cross
-    others = [q for q in range(ps.n) if q != p]
-    records: list[FamilyRecord] = []
-
-    def record(edges: int) -> None:
-        j = sum(1 for q in others if not (cross[pair[q]] & edges))
-        records.append(
-            FamilyRecord(point=p, root=PlaneGraph(edges, ps.n), visibility_j=j)
-        )
-
-    ws.enumerate_restricted(ws.full & ~ws.table.incident_masks[p], record)
-    return records
-
-
-def family_census(ps: PointSet, p: int, max_n: int | None = None) -> dict[int, int]:
-    """census[j] = number of families of point p with visibility j.
-
-    Same enumeration as family_records, kept in compact tallied form.
-    """
-    _check_cap(ps, max_n)
-    ws = workspace(ps)
-    pair = ws.table.pair_index[p]
-    cross = ws.cross
-    n = ps.n
-    others = [q for q in range(n) if q != p]
+    inc = ws.table.incident_masks[p]
     census: dict[int, int] = {}
 
-    def tally(edges: int) -> None:
-        j = 0
-        for q in others:
-            if not (cross[pair[q]] & edges):
-                j += 1
+    def tally(edges: int, blocked: int) -> None:
+        j = (inc & ~blocked).bit_count()
         census[j] = census.get(j, 0) + 1
 
-    ws.enumerate_restricted(ws.full & ~ws.table.incident_masks[p], tally)
+    ws.enumerate_restricted(ws.full & ~inc, tally)
     return dict(sorted(census.items()))
 
 
@@ -305,29 +242,19 @@ def charge_audit(ps: PointSet, max_n: int | None = None) -> dict:
     _check_cap(ps, max_n)
     ws = workspace(ps)
     n = ps.n
-    pair = ws.table.pair_index
     inc = ws.table.incident_masks
-    cross = ws.cross
     top = n - 1
 
     per_graph: list[dict] = []
     total_num = 0
     zero_vings = 0
 
-    def scan(edges: int) -> None:
+    def scan(edges: int, blocked: int) -> None:
         nonlocal total_num, zero_vings
         num = 0
-        for p in range(n):
-            pt = 0
-            row = pair[p]
-            for q in range(n):
-                if q == p:
-                    continue
-                k = row[q]
-                if (edges >> k) & 1 or not (cross[k] & edges):
-                    pt += 1
-            num += 1 << (top - pt)
-            if not (edges & inc[p]):
+        for mask in inc:
+            num += 1 << (top - (mask & ~blocked).bit_count())
+            if not (edges & mask):
                 zero_vings += 1
         total_num += num
         charge = DyadicRational(num, top)

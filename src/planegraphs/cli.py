@@ -112,7 +112,7 @@ def cmd_validate(args) -> int:
 def cmd_count(args) -> int:
     cfg = RunConfig.from_args(args)
     ps = _load(args)
-    pg = count_plane_graphs(ps, max_n=cfg.cap(ps.n), workers=cfg.workers)
+    pg = count_plane_graphs(ps, max_n=cfg.cap(ps.n))
     print(pg)
     if cfg.out is not None:
         if cfg.fmt == "json":

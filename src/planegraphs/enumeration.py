@@ -4,21 +4,28 @@ A plane graph of a point set P is exactly an independent set of the segment
 crossing relation, so everything here is independent-set machinery over the
 conflict bit-vectors of :mod:`planegraphs.crossings`:
 
-* ``enumerate_plane_graphs`` walks a depth-first 2-way branch over segment
-  indices (skip / choose, maintaining a forbidden mask) and visits every
-  crossing-free subset in lexicographic order.  This is the streaming mode
-  used by audits and exhaustive verifiers.
+* ``_Workspace.enumerate_restricted`` walks a depth-first 2-way branch over
+  segment indices (skip / choose) and visits every crossing-free subset in
+  lexicographic order.  The visitor receives ``(edges, blocked)``, where
+  ``blocked`` is the OR of the crossing masks of the chosen edges: the
+  segments that cross some edge of the graph.  Since the graph is
+  crossing-free, ``edges & blocked == 0``, and the potential of a point p is
+  ``popcount(inc[p] & ~blocked)``.  Exhaustive audits and verifiers scan
+  with it; ``enumerate_plane_graphs`` is the public form that hands out
+  :class:`PlaneGraph` objects.
 
 * ``count_plane_graphs`` / ``expected_degree_vector`` never materialize
   graphs.  They use a memoized counting routine that strips conflict-free
   segments in bulk, splits the conflict graph into connected components, and
-  branches on a maximum-degree pivot.  Degree statistics come from counting,
-  for every point p and every subset E of its incident segments, the graphs
-  whose edge set at p is exactly E; subsets of segments at a common endpoint
-  never cross, so those counts partition the graph census.
+  branches on a maximum-degree pivot.  Counting runs serially.  Degree
+  statistics come from counting, for every point p and every subset E of its
+  incident segments, the graphs whose edge set at p is exactly E; subsets of
+  segments at a common endpoint never cross, so those counts partition the
+  graph census.  The per-point rows may be spread over worker processes.
 
-All aggregates are exact big integers / rationals, and parallel runs sum
-per-task integers, so results are bit-identical for any worker count.
+All aggregates are exact big integers / rationals, and parallel runs return
+per-point integer rows in point order, so results are bit-identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 from .crossings import SegmentTable, structures
 from .geometry import PointSet
@@ -171,8 +178,9 @@ class _Workspace:
 
     # -- streaming enumeration over a restricted universe --------------------
 
-    def enumerate_restricted(self, avail: int, visitor: Callable[[int], None]) -> int:
-        """Visit every independent subset of `avail` in lexicographic order."""
+    def enumerate_restricted(self, avail: int, visitor: Callable[[int, int], None]) -> int:
+        """Call `visitor(edges, blocked)` on every independent subset of `avail`,
+        in lexicographic order; `blocked` equals ``self.blocked(edges)``."""
         indices = []
         mm = avail
         while mm:
@@ -186,7 +194,7 @@ class _Workspace:
         def rec(pos: int, chosen: int, forbidden: int) -> None:
             nonlocal count
             if pos == total:
-                visitor(chosen)
+                visitor(chosen, forbidden)
                 count += 1
                 return
             k = indices[pos]
@@ -200,6 +208,30 @@ class _Workspace:
         rec(0, 0, 0)
         return count
 
+    # -- blocked masks and greedy completion ---------------------------------
+
+    def blocked(self, edges: int) -> int:
+        """OR of `cross[e]` over the edges e: every segment some edge crosses."""
+        cross = self.cross
+        blocked = 0
+        while edges:
+            lsb = edges & -edges
+            blocked |= cross[lsb.bit_length() - 1]
+            edges ^= lsb
+        return blocked
+
+    def complete(self, edges: int, blocked: int) -> int:
+        """Repeatedly add the lowest addable segment: a triangulation containing
+        the crossing-free `edges`, given ``blocked = self.blocked(edges)``."""
+        cross = self.cross
+        avail = self.full & ~edges & ~blocked
+        while avail:
+            lsb = avail & -avail
+            edges |= lsb
+            avail &= ~cross[lsb.bit_length() - 1]
+            avail ^= lsb
+        return edges
+
 
 @lru_cache(maxsize=64)
 def _workspace(ps: PointSet) -> _Workspace:
@@ -211,9 +243,9 @@ def workspace(ps: PointSet) -> _Workspace:
 
 
 # ---------------------------------------------------------------------------
-# Worker-process plumbing.  Tasks carry only small ints; the point set is
-# rebuilt once per worker, and exact integer results are summed in task
-# order, so aggregates cannot depend on scheduling.
+# Worker-process plumbing for per-point degree rows.  Tasks carry only a
+# point label; the point set is rebuilt once per worker, and rows come back
+# in point order, so aggregates cannot depend on scheduling.
 # ---------------------------------------------------------------------------
 
 _POOL_WS: _Workspace | None = None
@@ -224,48 +256,16 @@ def _pool_init(coords: tuple[tuple[int, int], ...]) -> None:
     _POOL_WS = _Workspace(PointSet.from_coords(coords, validate=False))
 
 
-def _pool_count(avail: int) -> int:
-    assert _POOL_WS is not None
-    return _POOL_WS.count_independent(avail)
-
-
 def _pool_point_degrees(p: int) -> tuple[int, ...]:
     assert _POOL_WS is not None
     return _point_degree_row(_POOL_WS, p)
 
 
-def _run_pool(ps: PointSet, workers: int, fn, tasks: Sequence) -> list:
+def _pool_degree_rows(ps: PointSet, workers: int) -> list[tuple[int, ...]]:
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_pool_init, initargs=(ps.coords(),)
     ) as pool:
-        return list(pool.map(fn, tasks))
-
-
-def _prefix_partition(ws: _Workspace, prefix_bits: int) -> list[int]:
-    """Consistent decision patterns over the first k segments.
-
-    Each pattern yields the available-mask of the remaining universe; the
-    total count is the sum of the per-pattern counts.  The subtrees are
-    independent, which is what makes the parallel mode embarrassingly
-    parallel and deterministic.
-    """
-    k = min(prefix_bits, ws.m)
-    suffix = ws.full & ~((1 << k) - 1)
-    tasks: list[int] = []
-
-    def rec(pos: int, forbidden: int) -> None:
-        if pos == k:
-            tasks.append(suffix & ~forbidden)
-            return
-        bit = 1 << pos
-        if forbidden & bit:
-            rec(pos + 1, forbidden)
-            return
-        rec(pos + 1, forbidden)
-        rec(pos + 1, forbidden | ws.cross[pos])
-
-    rec(0, 0)
-    return tasks
+        return list(pool.map(_pool_point_degrees, range(ps.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -286,22 +286,16 @@ def enumerate_plane_graphs(
     _check_cap(ps, max_n)
     ws = workspace(ps)
     n = ps.n
-    return ws.enumerate_restricted(ws.full, lambda edges: visitor(PlaneGraph(edges, n)))
+    return ws.enumerate_restricted(
+        ws.full, lambda edges, blocked: visitor(PlaneGraph(edges, n))
+    )
 
 
-def count_plane_graphs(
-    ps: PointSet,
-    max_n: int | None = None,
-    workers: int = 1,
-    prefix_bits: int = 8,
-) -> int:
+def count_plane_graphs(ps: PointSet, max_n: int | None = None) -> int:
     """pg(P) = number of plane graphs of P, exactly."""
     _check_cap(ps, max_n)
     ws = workspace(ps)
-    if workers <= 1:
-        return ws.count_independent(ws.full)
-    tasks = _prefix_partition(ws, prefix_bits)
-    return sum(_run_pool(ps, workers, _pool_count, tasks))
+    return ws.count_independent(ws.full)
 
 
 def count_plane_graphs_bruteforce(ps: PointSet) -> int:
@@ -367,7 +361,7 @@ def expected_degree_vector(
     if workers <= 1:
         rows = [_point_degree_row(ws, p) for p in range(n)]
     else:
-        rows = _run_pool(ps, workers, _pool_point_degrees, range(n))
+        rows = _pool_degree_rows(ps, workers)
     pg = ws.count_independent(ws.full)
     for row in rows:
         if sum(row) != pg:
@@ -390,35 +384,16 @@ def total_edge_incidences(ps: PointSet, max_n: int | None = None) -> int:
 def is_triangulation(ps: PointSet, g: PlaneGraph) -> bool:
     """Maximality test: no segment can be added without a crossing."""
     ws = workspace(ps)
-    addable = ws.full & ~g.edges
-    while addable:
-        lsb = addable & -addable
-        if not (ws.cross[lsb.bit_length() - 1] & g.edges):
-            return False
-        addable ^= lsb
-    return True
+    return not (ws.full & ~g.edges & ~ws.blocked(g.edges))
 
 
 def containing_triangulation(ps: PointSet, g: PlaneGraph) -> PlaneGraph:
     """The triangulation obtained by repeatedly adding the lowest addable segment."""
     ws = workspace(ps)
-    edges = g.edges
-    blocked = 0
-    mm = edges
-    while mm:
-        lsb = mm & -mm
-        blocked |= ws.cross[lsb.bit_length() - 1]
-        mm ^= lsb
-    if blocked & edges:
+    blocked = ws.blocked(g.edges)
+    if blocked & g.edges:
         raise ValueError("input edge set has a crossing pair")
-    avail = ws.full & ~edges & ~blocked
-    while avail:
-        lsb = avail & -avail
-        k = lsb.bit_length() - 1
-        edges |= lsb
-        avail &= ~ws.cross[k]
-        avail ^= lsb
-    return PlaneGraph(edges, ps.n)
+    return PlaneGraph(ws.complete(g.edges, blocked), ps.n)
 
 
 def enumerate_triangulations(

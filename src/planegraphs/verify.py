@@ -22,14 +22,13 @@ from .certified import (
     GAMMA,
     PI_HI,
     PI_LO,
-    harmonic_interval,
     ln2_interval,
     log_interval,
 )
 from .charging import max_family_charge
 from .enumeration import (
+    _check_cap,
     count_plane_graphs,
-    enumerate_plane_graphs,
     enumerate_triangulations,
     expected_degree_vector,
     workspace,
@@ -49,6 +48,10 @@ class VerificationReport:
     margin: Fraction | None = None
     witness: dict | None = None
     details: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.status == VIOLATED and self.witness is None:
+            raise ValueError(f"violated claim {self.claim} carries no witness")
 
     @property
     def ok(self) -> bool:
@@ -177,31 +180,24 @@ def verify_visibility_lemma(ps: PointSet, max_n: int | None = None) -> Verificat
     Asserted under the triangular-hull, n >= 5 hypotheses; other sets are
     scanned in report-only mode (the observed minimum is still recorded).
     """
+    _check_cap(ps, max_n)
     ws = workspace(ps)
-    n = ps.n
     inc = ws.table.incident_masks
-    pair = ws.table.pair_index
-    cross = ws.cross
     strict = ps.n >= 5 and is_triangular_hull(ps)
 
     state = {"min": None, "witness": None, "zero_vings": 0}
 
-    def scan(g) -> None:
-        edges = g.edges
-        for p in range(n):
-            if edges & inc[p]:
+    def scan(edges: int, blocked: int) -> None:
+        for p, mask in enumerate(inc):
+            if edges & mask:
                 continue
             state["zero_vings"] += 1
-            row = pair[p]
-            j = 0
-            for q in range(n):
-                if q != p and not (cross[row[q]] & edges):
-                    j += 1
+            j = (mask & ~blocked).bit_count()
             if state["min"] is None or j < state["min"]:
                 state["min"] = j
-                state["witness"] = {"graph": g.to_hex(), "point": p, "visibility": j}
+                state["witness"] = {"graph": f"{edges:x}", "point": p, "visibility": j}
 
-    graphs = enumerate_plane_graphs(ps, scan, max_n=max_n)
+    graphs = ws.enumerate_restricted(ws.full, scan)
     details = {
         "graphs_scanned": graphs,
         "zero_vings_scanned": state["zero_vings"],
@@ -298,65 +294,33 @@ def verify_graph_charge_cap(ps: PointSet, max_n: int | None = None) -> Verificat
         return VerificationReport(
             claim="graph_charge_cap", pointset=desc, status=NOT_APPLICABLE
         )
+    _check_cap(ps, max_n)
     ws = workspace(ps)
-    pair = ws.table.pair_index
     inc = ws.table.incident_masks
-    cross = ws.cross
-    full = ws.full
     top = n - 1
     cap_num = 11 * n - 6  # cap = cap_num / 112
     cap_scaled = cap_num << top  # compare against 112 * charge_scaled
 
-    state = {
-        "max_scaled": -1,
-        "witness": None,
-        "mono_witness": None,
-        "graphs": 0,
-    }
-    pts_buf = [0] * n
+    state = {"max_scaled": -1, "witness": None, "mono_witness": None}
 
-    def scan(g) -> None:
-        edges = g.edges
-        state["graphs"] += 1
-        charge_scaled = 0
-        for p in range(n):
-            row = pair[p]
-            pt = 0
-            for q in range(n):
-                if q == p:
-                    continue
-                k = row[q]
-                if (edges >> k) & 1 or not (cross[k] & edges):
-                    pt += 1
-            pts_buf[p] = pt
-            charge_scaled += 1 << (top - pt)
+    def scan(edges: int, blocked: int) -> None:
+        pts = [(mask & ~blocked).bit_count() for mask in inc]
+        charge_scaled = sum(1 << (top - pt) for pt in pts)
         if charge_scaled > state["max_scaled"]:
             state["max_scaled"] = charge_scaled
-            state["witness"] = g.to_hex()
-        # containing triangulation: repeatedly add the lowest addable segment
-        t_edges = edges
-        blocked = 0
-        mm = edges
-        while mm:
-            lsb = mm & -mm
-            blocked |= cross[lsb.bit_length() - 1]
-            mm ^= lsb
-        avail = full & ~edges & ~blocked
-        while avail:
-            lsb = avail & -avail
-            t_edges |= lsb
-            avail &= ~cross[lsb.bit_length() - 1]
-            avail ^= lsb
-        for p in range(n):
-            if pts_buf[p] < (t_edges & inc[p]).bit_count():
-                if state["mono_witness"] is None:
+            state["witness"] = f"{edges:x}"
+        if state["mono_witness"] is None:
+            t_edges = ws.complete(edges, blocked)
+            for p, mask in enumerate(inc):
+                if pts[p] < (t_edges & mask).bit_count():
                     state["mono_witness"] = {
-                        "graph": g.to_hex(),
+                        "graph": f"{edges:x}",
                         "triangulation": f"{t_edges:x}",
                         "point": p,
                     }
+                    break
 
-    enumerate_plane_graphs(ps, scan, max_n=max_n)
+    graphs = ws.enumerate_restricted(ws.full, scan)
     max_charge = Fraction(state["max_scaled"], 1 << top)
     margin = Fraction(cap_num, 112) - max_charge
     cap_violated = 112 * state["max_scaled"] > cap_scaled
@@ -374,7 +338,7 @@ def verify_graph_charge_cap(ps: PointSet, max_n: int | None = None) -> Verificat
         margin=margin,
         witness=witness,
         details={
-            "graphs_scanned": state["graphs"],
+            "graphs_scanned": graphs,
             "max_charge": max_charge,
             "cap": Fraction(cap_num, 112),
             "potential_monotonicity": not mono_violated,
@@ -444,6 +408,9 @@ def verify_zero_ving_recurrence(
             pointset=desc,
             status=HOLDS if margin_c >= 0 else VIOLATED,
             margin=margin_c,
+            witness=None
+            if margin_c >= 0
+            else {"zero_vings": str(total_zero), "n_times_min_drop": str(n * min_drop)},
             details={"zero_vings": total_zero, "n_times_min_drop": n * min_drop},
         )
     )
@@ -453,23 +420,6 @@ def verify_zero_ving_recurrence(
 # ---------------------------------------------------------------------------
 # Analytic facts (point-set independent)
 # ---------------------------------------------------------------------------
-
-
-def harmonic_residual(m: int) -> tuple[Fraction, Fraction]:
-    """Certified enclosure of eps_m = ln m + gamma + 1/(2m) - H_m.
-
-    Raises ArithmeticError if the enclosure escapes [0, 1/(8 m^2)].
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    ln_lo, ln_hi = log_interval(m)
-    h_lo, h_hi = harmonic_interval(m)
-    half = Fraction(1, 2 * m)
-    eps_lo = ln_lo + GAMMA[0] + half - h_hi
-    eps_hi = ln_hi + GAMMA[1] + half - h_lo
-    if not (eps_lo >= 0 and eps_hi <= Fraction(1, 8 * m * m)):
-        raise ArithmeticError(f"harmonic residual bound failed at m={m}")
-    return eps_lo, eps_hi
 
 
 def harmonic_residual_sweep(m_max: int, shift: int = 220) -> VerificationReport:
@@ -548,27 +498,6 @@ def _robbins_margins(m: int, lnfact: tuple[Fraction, Fraction]) -> tuple[Fractio
     upper_lo = base_lo + Fraction(1, 12 * m)
     lf_lo, lf_hi = lnfact
     return lf_lo - lower_hi, upper_lo - lf_hi
-
-
-def _lnfact_interval(m: int) -> tuple[Fraction, Fraction]:
-    lo = Fraction(0)
-    hi = Fraction(0)
-    for k in range(2, m + 1):
-        k_lo, k_hi = log_interval(k)
-        lo += k_lo
-        hi += k_hi
-    return lo, hi
-
-
-def stirling_bounds(m: int) -> bool:
-    """Both strict Robbins inequalities around m!, certified in the log domain:
-
-    ln sqrt(2 pi m) + m ln m - m + 1/(12m+1) < ln m! < same + 1/(12m).
-    """
-    if not (1 <= m <= 500):
-        raise ValueError("m must be in 1..500")
-    margin_low, margin_up = _robbins_margins(m, _lnfact_interval(m))
-    return margin_low > 0 and margin_up > 0
 
 
 def stirling_sweep(m_max: int = 500) -> VerificationReport:

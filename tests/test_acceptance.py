@@ -205,7 +205,7 @@ def test_c09_charging_conservation_exhaustive():
                 assert sum(mult << j for j, mult in census.items()) == dv.pg
                 iving = [0] * ps.n
 
-                def per_root(edges, p=p, iving=iving):
+                def per_root(edges, blocked, p=p, iving=iving):
                     # every family of p: binomial i-ving counts inside it
                     members = family_members(ps, PlaneGraph(edges, ps.n), p)
                     j = len(members).bit_length() - 1

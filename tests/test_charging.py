@@ -246,19 +246,3 @@ def test_charge_audit_small(triangle):
         census_by_point[row["point"]] += row["multiplicity"] << row["visibility_j"]
     assert census_by_point == {0: 8, 1: 8, 2: 8}
 
-
-def test_family_records_match_census(triangle):
-    from planegraphs import family_records
-    from planegraphs.crossings import structures
-
-    table, _ = structures(triangle)
-    for p in range(3):
-        records = family_records(triangle, p)
-        census = family_census(triangle, p)
-        tallied = {}
-        for rec in records:
-            assert rec.point == p
-            assert rec.root.edges & table.incident_masks[p] == 0
-            assert rec.member_count == 1 << rec.visibility_j
-            tallied[rec.visibility_j] = tallied.get(rec.visibility_j, 0) + 1
-        assert tallied == census

@@ -15,7 +15,6 @@ from planegraphs import (
     expected_degree_vector,
     gen_cap_with_apex,
     gen_convex_chain,
-    gen_triangular_hull_random,
     is_triangulation,
     total_edge_incidences,
 )
@@ -88,12 +87,6 @@ class TestCount:
     def test_bruteforce_segment_limit(self):
         with pytest.raises(EnumerationLimitError):
             count_plane_graphs_bruteforce(gen_convex_chain(8))
-
-    def test_workers_agree(self):
-        ps = gen_triangular_hull_random(6, seed=1)
-        single = count_plane_graphs(ps)
-        assert count_plane_graphs(ps, workers=2) == single
-        assert count_plane_graphs(ps, workers=2, prefix_bits=4) == single
 
     def test_monotone_in_interior_points(self):
         base = coords((0, 0), (12, 0), (0, 12), (3, 3))

@@ -8,9 +8,7 @@ from planegraphs import (
     gen_cap_with_apex,
     gen_convex_chain,
     gen_triangular_hull_random,
-    harmonic_residual,
     run_claims,
-    stirling_bounds,
     verify_graph_charge_cap,
     verify_previous_lower,
     verify_triangulation_degree_lemmas,
@@ -22,6 +20,8 @@ from planegraphs import (
 from planegraphs.verify import (
     HOLDS,
     NOT_APPLICABLE,
+    VIOLATED,
+    VerificationReport,
     central_binomial_sweep,
     harmonic_gap_sweep,
     harmonic_residual_sweep,
@@ -154,29 +154,31 @@ class TestZeroVingRecurrence:
         reports = {r.claim: r for r in verify_zero_ving_recurrence(ps)}
         assert reports["zero_ving_growth_consequence"].margin >= 0
 
+    def test_violations_carry_witnesses(self, triangle, monkeypatch):
+        # inflate pg(P minus q): the triangle has no internal point, so only
+        # the general identity and its consequence can fail
+        import planegraphs.verify as verify_mod
+
+        monkeypatch.setattr(verify_mod, "count_plane_graphs", lambda ps, max_n=None: 10**6)
+        reports = {r.claim: r for r in verify_zero_ving_recurrence(triangle)}
+        assert reports["zero_ving_identity"].status == VIOLATED
+        assert reports["zero_ving_growth_consequence"].status == VIOLATED
+        assert reports["zero_ving_growth_consequence"].witness == {
+            "zero_vings": "6", "n_times_min_drop": "3000000"
+        }
+
 
 class TestAnalytic:
     def test_harmonic_residual_m1(self):
-        lo, hi = harmonic_residual(1)
-        # eps_1 = gamma - 1/2 = 0.0772...
-        assert Fraction(77, 1000) < lo <= hi < Fraction(78, 1000)
-
-    def test_harmonic_residual_large(self):
-        lo, hi = harmonic_residual(10**4)
-        assert 0 <= lo <= hi <= Fraction(1, 8 * 10**8)
+        # eps_1 = gamma - 1/2 = 0.0772..., so the margin 1/8 - eps_1 = 0.0477...
+        margin = harmonic_residual_sweep(1).margin
+        assert Fraction(47, 1000) < margin < Fraction(48, 1000)
 
     def test_harmonic_sweeps(self):
         assert harmonic_residual_sweep(500).status == HOLDS
         gap = harmonic_gap_sweep(500)
         assert gap.status == HOLDS
         assert gap.margin > 0
-
-    def test_stirling_bounds(self):
-        assert stirling_bounds(1)
-        assert stirling_bounds(10)
-        assert stirling_bounds(500)
-        with pytest.raises(ValueError):
-            stirling_bounds(0)
 
     def test_stirling_sweep(self):
         report = stirling_sweep(60)
@@ -188,6 +190,12 @@ class TestAnalytic:
 
     def test_charge_argmax(self):
         assert ving_charge_argmax_sweep(16).status == HOLDS
+
+
+def test_violated_report_requires_witness():
+    with pytest.raises(ValueError):
+        VerificationReport(claim="c", pointset="-", status=VIOLATED)
+    VerificationReport(claim="c", pointset="-", status=VIOLATED, witness={"i": 1})
 
 
 class TestRunClaims:
