@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .enumeration import PlaneGraph, _check_cap, workspace
+from .enumeration import PlaneGraph, _check_cap, _point_degree_row, workspace
 from .geometry import PointSet
 
 
@@ -213,27 +213,35 @@ def lp_charge_cap(n: int) -> Fraction:
     return best
 
 
+def census_from_degree_row(row: tuple[int, ...]) -> dict[int, int]:
+    """A point's family census from its degree row, by binomial inversion.
+
+    A family of visibility j holds C(j, k) graphs in which the point has
+    degree k, so row[k] = sum_j C(j, k) census[j]; inverting,
+    census[j] = sum_{k >= j} (-1)^(k-j) C(k, j) row[k].  Zero entries are
+    dropped.
+    """
+    census: dict[int, int] = {}
+    for j in range(len(row)):
+        mult = sum((-1) ** (k - j) * comb(k, j) * row[k] for k in range(j, len(row)))
+        if mult:
+            census[j] = mult
+    return census
+
+
 def family_census(ps: PointSet, p: int, max_n: int | None = None) -> dict[int, int]:
     """census[j] = number of families of point p with visibility j.
 
-    Family roots of p are exactly the plane graphs in which p is isolated,
-    enumerated as the crossing-free subsets of the non-incident segments.
+    Counted, not enumerated: the inverse binomial transform of p's degree
+    row from the counting DP (see :func:`census_from_degree_row`).
     """
     _check_cap(ps, max_n)
-    ws = workspace(ps)
-    inc = ws.table.incident_masks[p]
-    census: dict[int, int] = {}
-
-    def tally(edges: int, blocked: int) -> None:
-        j = (inc & ~blocked).bit_count()
-        census[j] = census.get(j, 0) + 1
-
-    ws.enumerate_restricted(ws.full & ~inc, tally)
-    return dict(sorted(census.items()))
+    return census_from_degree_row(_point_degree_row(workspace(ps), p))
 
 
 def charge_audit(ps: PointSet, max_n: int | None = None) -> dict:
-    """Exhaustive audit: per-graph charges plus the family census per point.
+    """Per-graph charges, by one scan over every plane graph, plus the family
+    census per point, from the degree rows.
 
     The two conservation identities are checked on the way: the total graph
     charge equals the number of 0-vings, and each point's family sizes sum

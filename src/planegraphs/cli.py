@@ -245,9 +245,9 @@ def cmd_construction_report(args) -> int:
     cfg = RunConfig.from_args(args)
     n_max = args.n_max
     cap = cfg.cap(n_max)
-    ratio_rows = fn_ratio_table(min(n_max, cap), max_n=cap)
-    trend_rows = v0_trend_table(min(n_max, cap), max_n=cap)
-    product = [verify_product_law(n, max_n=cap) for n in range(4, min(n_max, cap) + 1)]
+    ratio_rows = fn_ratio_table(n_max, max_n=cap)
+    trend_rows = v0_trend_table(n_max, max_n=cap)
+    product = [verify_product_law(n, max_n=cap) for n in range(4, n_max + 1)]
     if cfg.fmt == "json":
         payload = envelope("construction-report", None) | {
             "fn_ratio": [

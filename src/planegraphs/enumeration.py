@@ -10,9 +10,9 @@ conflict bit-vectors of :mod:`planegraphs.crossings`:
   ``blocked`` is the OR of the crossing masks of the chosen edges: the
   segments that cross some edge of the graph.  Since the graph is
   crossing-free, ``edges & blocked == 0``, and the potential of a point p is
-  ``popcount(inc[p] & ~blocked)``.  Exhaustive audits and verifiers scan
-  with it; ``enumerate_plane_graphs`` is the public form that hands out
-  :class:`PlaneGraph` objects.
+  ``popcount(inc[p] & ~blocked)``.  The charge audit scans with it, and the
+  visibility verifier searches it for a witness; ``enumerate_plane_graphs``
+  is the public form that hands out :class:`PlaneGraph` objects.
 
 * ``count_plane_graphs`` / ``expected_degree_vector`` never materialize
   graphs.  They use a memoized counting routine that strips conflict-free
@@ -208,7 +208,7 @@ class _Workspace:
         rec(0, 0, 0)
         return count
 
-    # -- blocked masks and greedy completion ---------------------------------
+    # -- blocked masks -------------------------------------------------------
 
     def blocked(self, edges: int) -> int:
         """OR of `cross[e]` over the edges e: every segment some edge crosses."""
@@ -219,18 +219,6 @@ class _Workspace:
             blocked |= cross[lsb.bit_length() - 1]
             edges ^= lsb
         return blocked
-
-    def complete(self, edges: int, blocked: int) -> int:
-        """Repeatedly add the lowest addable segment: a triangulation containing
-        the crossing-free `edges`, given ``blocked = self.blocked(edges)``."""
-        cross = self.cross
-        avail = self.full & ~edges & ~blocked
-        while avail:
-            lsb = avail & -avail
-            edges |= lsb
-            avail &= ~cross[lsb.bit_length() - 1]
-            avail ^= lsb
-        return edges
 
 
 @lru_cache(maxsize=64)
@@ -390,10 +378,17 @@ def is_triangulation(ps: PointSet, g: PlaneGraph) -> bool:
 def containing_triangulation(ps: PointSet, g: PlaneGraph) -> PlaneGraph:
     """The triangulation obtained by repeatedly adding the lowest addable segment."""
     ws = workspace(ps)
-    blocked = ws.blocked(g.edges)
-    if blocked & g.edges:
+    edges = g.edges
+    blocked = ws.blocked(edges)
+    if blocked & edges:
         raise ValueError("input edge set has a crossing pair")
-    return PlaneGraph(ws.complete(g.edges, blocked), ps.n)
+    avail = ws.full & ~edges & ~blocked
+    while avail:
+        lsb = avail & -avail
+        edges |= lsb
+        avail &= ~ws.cross[lsb.bit_length() - 1]
+        avail ^= lsb
+    return PlaneGraph(edges, ps.n)
 
 
 def enumerate_triangulations(

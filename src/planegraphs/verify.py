@@ -1,9 +1,13 @@
-"""Orchestrated verifiers: every claim checked exhaustively at desk scale.
+"""Orchestrated verifiers: every claim decided exactly at desk scale.
 
-Each verifier scans the full space it quantifies over (all plane graphs, all
-triangulations, all families) for one point set and returns a
-:class:`VerificationReport` with an exact rational margin.  A "violated"
-report always carries a reproducible witness.  Claims whose hypotheses the
+No verifier walks every plane graph.  Claims that are sums over all plane
+graphs (the expected-degree bounds, the 0-ving identities) and the
+visibility lemma, whose minimum is the smallest visibility in any point's
+family census, come from the counting DP's degree rows.  The triangulation
+lemmas scan every triangulation, and so does the per-graph charge cap,
+because a graph's charge is at most that of any triangulation containing
+it.  Each verifier returns a :class:`VerificationReport` with an exact
+rational margin.  A "violated" report always carries a reproducible witness.  Claims whose hypotheses the
 input does not satisfy come back "not-applicable" with the observed data in
 the details, so near-miss behaviour outside the hypotheses stays visible.
 
@@ -25,9 +29,8 @@ from .certified import (
     ln2_interval,
     log_interval,
 )
-from .charging import max_family_charge
+from .charging import census_from_degree_row, max_family_charge
 from .enumeration import (
-    _check_cap,
     count_plane_graphs,
     enumerate_triangulations,
     expected_degree_vector,
@@ -170,38 +173,28 @@ def verify_previous_lower(
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive graph scans
+# Plane-graph lemmas, read off the degree rows and the triangulations
 # ---------------------------------------------------------------------------
 
 
 def verify_visibility_lemma(ps: PointSet, max_n: int | None = None) -> VerificationReport:
     """Every isolated vertex of every graph sees at least 3 other vertices.
 
-    Asserted under the triangular-hull, n >= 5 hypotheses; other sets are
-    scanned in report-only mode (the observed minimum is still recorded).
+    A 0-ving (G, p) is the root of p's family through G, and p's visibility
+    in G is that family's, so the minimum over all 0-vings is the smallest j
+    in any point's family census, inverted from the degree rows.  Only a
+    violation enumerates, to find a witness root.  Asserted under the
+    triangular-hull, n >= 5 hypotheses; other sets run in report-only mode
+    (the observed minimum is still recorded).
     """
-    _check_cap(ps, max_n)
-    ws = workspace(ps)
-    inc = ws.table.incident_masks
+    dv = expected_degree_vector(ps, max_n=max_n)
     strict = ps.n >= 5 and is_triangular_hull(ps)
-
-    state = {"min": None, "witness": None, "zero_vings": 0}
-
-    def scan(edges: int, blocked: int) -> None:
-        for p, mask in enumerate(inc):
-            if edges & mask:
-                continue
-            state["zero_vings"] += 1
-            j = (mask & ~blocked).bit_count()
-            if state["min"] is None or j < state["min"]:
-                state["min"] = j
-                state["witness"] = {"graph": f"{edges:x}", "point": p, "visibility": j}
-
-    graphs = ws.enumerate_restricted(ws.full, scan)
+    censuses = [census_from_degree_row(row) for row in dv.per_point]
+    min_vis = min((j for census in censuses for j in census), default=None)
     details = {
-        "graphs_scanned": graphs,
-        "zero_vings_scanned": state["zero_vings"],
-        "min_visibility": state["min"],
+        "graphs_scanned": dv.pg,
+        "zero_vings_scanned": sum(row[0] for row in dv.per_point),
+        "min_visibility": min_vis,
         "strict_mode": strict,
     }
     if not strict:
@@ -211,15 +204,36 @@ def verify_visibility_lemma(ps: PointSet, max_n: int | None = None) -> Verificat
             status=NOT_APPLICABLE,
             details=details,
         )
-    violated = state["min"] is not None and state["min"] < 3
+    violated = min_vis is not None and min_vis < 3
     return VerificationReport(
         claim="visibility_lemma",
         pointset=_descriptor(ps),
         status=VIOLATED if violated else HOLDS,
-        margin=Fraction(state["min"] - 3) if state["min"] is not None else None,
-        witness=state["witness"] if violated else None,
+        margin=Fraction(min_vis - 3) if min_vis is not None else None,
+        witness=_visibility_witness(ps, censuses, min_vis) if violated else None,
         details=details,
     )
+
+
+def _visibility_witness(ps: PointSet, censuses: list[dict[int, int]], j: int) -> dict:
+    """The first root, in enumeration order, of visibility j of the
+    lowest-labelled point whose census has a family of visibility j."""
+    p = next(p for p, census in enumerate(censuses) if j in census)
+    ws = workspace(ps)
+    inc = ws.table.incident_masks[p]
+
+    class Found(Exception):
+        pass
+
+    def visit(edges: int, blocked: int) -> None:
+        if (inc & ~blocked).bit_count() == j:
+            raise Found(edges)  # the first hit is the witness: stop the walk
+
+    try:
+        ws.enumerate_restricted(ws.full & ~inc, visit)
+    except Found as hit:
+        return {"graph": f"{hit.args[0]:x}", "point": p, "visibility": j}
+    raise AssertionError(f"point {p} has no family root of visibility {j}")
 
 
 def verify_triangulation_degree_lemmas(
@@ -281,12 +295,13 @@ def verify_triangulation_degree_lemmas(
 
 
 def verify_graph_charge_cap(ps: PointSet, max_n: int | None = None) -> VerificationReport:
-    """Per-graph charge cap (11n-6)/112 and potential monotonicity.
+    """Per-graph charge cap (11n-6)/112: sum_p 2^-pt(p, G) <= cap for every G.
 
-    One scan over all plane graphs checks, for every G: the total charge
-    sum_p 2^-pt(p, G) stays at or below the cap, and pt(p, G) >= deg_T(p)
-    for the deterministic containing triangulation T (whose potential equals
-    its degree, T being maximal).
+    Potential monotonicity is a lemma, not a scan: if G is a subgraph of a
+    triangulation T, then blocked(G) is a subset of blocked(T), so
+    pt(p, G) >= pt(p, T) = deg_T(p), since T is maximal.  The charge of G is
+    therefore at most the charge of T, and the maximum over all plane graphs
+    is the maximum of sum_d v_d(T) 2^-d over the triangulations.
     """
     n = ps.n
     desc = _descriptor(ps)
@@ -294,54 +309,30 @@ def verify_graph_charge_cap(ps: PointSet, max_n: int | None = None) -> Verificat
         return VerificationReport(
             claim="graph_charge_cap", pointset=desc, status=NOT_APPLICABLE
         )
-    _check_cap(ps, max_n)
-    ws = workspace(ps)
-    inc = ws.table.incident_masks
+    stats = enumerate_triangulations(ps, max_n=max_n)
     top = n - 1
     cap_num = 11 * n - 6  # cap = cap_num / 112
-    cap_scaled = cap_num << top  # compare against 112 * charge_scaled
-
-    state = {"max_scaled": -1, "witness": None, "mono_witness": None}
-
-    def scan(edges: int, blocked: int) -> None:
-        pts = [(mask & ~blocked).bit_count() for mask in inc]
-        charge_scaled = sum(1 << (top - pt) for pt in pts)
-        if charge_scaled > state["max_scaled"]:
-            state["max_scaled"] = charge_scaled
-            state["witness"] = f"{edges:x}"
-        if state["mono_witness"] is None:
-            t_edges = ws.complete(edges, blocked)
-            for p, mask in enumerate(inc):
-                if pts[p] < (t_edges & mask).bit_count():
-                    state["mono_witness"] = {
-                        "graph": f"{edges:x}",
-                        "triangulation": f"{t_edges:x}",
-                        "point": p,
-                    }
-                    break
-
-    graphs = ws.enumerate_restricted(ws.full, scan)
-    max_charge = Fraction(state["max_scaled"], 1 << top)
+    max_scaled, witness_graph = -1, None
+    for rec in stats.records:
+        scaled = sum(count << (top - d) for d, count in enumerate(rec.histogram))
+        if scaled > max_scaled:
+            max_scaled, witness_graph = scaled, rec.graph
+    max_charge = Fraction(max_scaled, 1 << top)
     margin = Fraction(cap_num, 112) - max_charge
-    cap_violated = 112 * state["max_scaled"] > cap_scaled
-    mono_violated = state["mono_witness"] is not None
-    violated = cap_violated or mono_violated
-    witness = None
-    if cap_violated:
-        witness = {"graph": state["witness"], "charge": str(max_charge)}
-    elif mono_violated:
-        witness = state["mono_witness"]
+    violated = margin < 0
     return VerificationReport(
         claim="graph_charge_cap",
         pointset=desc,
         status=VIOLATED if violated else HOLDS,
         margin=margin,
-        witness=witness,
+        witness={"graph": witness_graph.to_hex(), "charge": str(max_charge)}
+        if violated
+        else None,
         details={
-            "graphs_scanned": graphs,
+            "graphs_scanned": count_plane_graphs(ps, max_n=max_n),
             "max_charge": max_charge,
             "cap": Fraction(cap_num, 112),
-            "potential_monotonicity": not mono_violated,
+            "potential_monotonicity": True,
         },
     )
 

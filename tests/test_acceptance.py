@@ -147,8 +147,8 @@ def test_c06_theorem1_lower_bounds():
             assert all(r.status == HOLDS for r in reports), spec
 
 
-SCAN_SPECS = [("cap_with_apex", n, None) for n in (5, 6, 7)] + [
-    ("random", n, 1) for n in (5, 6, 7)
+SCAN_SPECS = [("cap_with_apex", n, None) for n in range(5, 11)] + [
+    ("random", n, 1) for n in range(5, 11)
 ]
 
 
@@ -204,11 +204,13 @@ def test_c09_charging_conservation_exhaustive():
                 census = family_census(ps, p)
                 assert sum(mult << j for j, mult in census.items()) == dv.pg
                 iving = [0] * ps.n
+                tally: dict[int, int] = {}
 
-                def per_root(edges, blocked, p=p, iving=iving):
+                def per_root(edges, blocked, p=p, iving=iving, tally=tally):
                     # every family of p: binomial i-ving counts inside it
                     members = family_members(ps, PlaneGraph(edges, ps.n), p)
                     j = len(members).bit_length() - 1
+                    tally[j] = tally.get(j, 0) + 1
                     degrees = [g.degree(p, ws.table) for g in members]
                     for i in range(j + 1):
                         count_i = degrees.count(i)
@@ -220,6 +222,8 @@ def test_c09_charging_conservation_exhaustive():
                 )
                 for i in range(ps.n):
                     assert iving[i] == dv.per_point[p][i]
+                # the exhaustive oracle for the census's binomial inversion
+                assert tally == census
 
 
 def test_c10_per_graph_charge_cap_and_monotonicity():

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import planegraphs
 from planegraphs import gen_cap_with_apex, gen_convex_chain, save_pts
 from planegraphs.cli import main
 
@@ -162,14 +165,22 @@ class TestConstructionReport:
             {"n": 4, "status": "holds"}, {"n": 5, "status": "holds"}
         ]
 
+    def test_cap_exceeded(self, capsys):
+        assert run_cli("construction-report", "7", "--max-n", "6") == 2
+        assert "exceeds the cap" in capsys.readouterr().err
+
 
 def test_console_script_entry_point(tmp_path):
     pts = tmp_path / "tri.pts"
     save_pts(gen_convex_chain(3), pts)
+    # the child imports the same package as this process, installed or not
+    src = str(Path(planegraphs.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "planegraphs.cli", "count", str(pts)],
         capture_output=True,
         text=True,
+        env=os.environ | {"PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "8"

@@ -1,11 +1,17 @@
-"""The scan verifiers can say "violated", and their witnesses replay.
+"""The verifiers can say "violated", and their witnesses replay.
 
-`is_triangular_hull` is forced to True on a convex 5-chain, whose hull is a
-pentagon, so the visibility lemma and the per-graph charge cap are asserted
-on a set that breaks their hypotheses.  Each witness is then replayed with a
-geometric oracle built from `segments_cross` on the coordinates.  The oracle
-never reads the crossing bit-vectors, which feed both `visibility` and the
-verifier scans.
+`is_triangular_hull` is forced to True on convex chains, whose hulls are
+not triangles, so the visibility lemma, the per-graph charge cap and the
+triangulation degree lemmas are asserted on sets that break their
+hypotheses.  Each witness is then replayed with a geometric oracle built
+from `segments_cross` on the coordinates.  The oracle never reads the
+crossing bit-vectors, which feed both `visibility` and the verifiers.  The
+verifiers that read expected-degree statistics are fed a tampered
+`DegreeExpectation`.
+
+The verifiers read their answers off the counting DP and the
+triangulations; a walk over every plane graph of three 5-point sets is the
+exhaustive oracle for those answers.
 """
 
 from __future__ import annotations
@@ -16,18 +22,28 @@ import pytest
 
 import planegraphs.verify as verify_mod
 from planegraphs import (
+    DegreeExpectation,
     PlaneGraph,
+    containing_triangulation,
     enumerate_plane_graphs,
+    expected_degree_vector,
     gen_cap_with_apex,
     gen_convex_chain,
     gen_triangular_hull_random,
+    graph_charge_v0,
+    is_triangular_hull,
     potential,
     segments_cross,
     verify_graph_charge_cap,
+    verify_previous_lower,
+    verify_triangulation_degree_lemmas,
+    verify_v0_upper,
+    verify_vi_upper,
     verify_visibility_lemma,
+    verify_zero_ving_recurrence,
     visibility,
 )
-from planegraphs.verify import VIOLATED
+from planegraphs.verify import HOLDS, NOT_APPLICABLE, VIOLATED
 
 
 def decode(edges: int, n: int) -> list[tuple[int, int]]:
@@ -73,7 +89,7 @@ def test_visibility_lemma_violation_replays(forced_hull):
     ps = forced_hull
     report = verify_visibility_lemma(ps)
     assert report.status == VIOLATED
-    assert report.witness == {"graph": "100", "point": 3, "visibility": 2}
+    assert report.witness == {"graph": "40", "point": 0, "visibility": 2}
     edges = decode(int(report.witness["graph"], 16), ps.n)
     p = report.witness["point"]
     assert oracle_plane(ps, edges)
@@ -96,16 +112,83 @@ def test_graph_charge_cap_violation_replays(forced_hull):
     assert charge > Fraction(11 * ps.n - 6, 112) == Fraction(7, 16)
 
 
+def test_triangulation_degree_lemmas_violation_replays(monkeypatch):
+    monkeypatch.setattr(verify_mod, "is_triangular_hull", lambda ps: True)
+    ps = gen_convex_chain(8)
+    reports = verify_triangulation_degree_lemmas(ps)
+    assert [r.status for r in reports] == [VIOLATED] * 3
+    for report in reports:
+        assert report.witness["graph"] == "a4420ff"
+        assert report.witness["v3"] == 5
+    edges = decode(0xA4420FF, ps.n)
+    assert oracle_plane(ps, edges)
+    pts = ps.points
+    for a in range(ps.n):  # maximal: every absent segment crosses an edge
+        for b in range(a + 1, ps.n):
+            if (a, b) not in edges:
+                assert any(segments_cross(pts[a], pts[b], pts[c], pts[d]) for c, d in edges)
+    degrees = [sum(1 for e in edges if p in e) for p in range(ps.n)]
+    v3, v4 = degrees.count(3), degrees.count(4)
+    assert (v3, v4) == (5, 0)
+    assert 3 * v3 > 2 * ps.n - 3  # v3 <= 2n/3 - 1 fails
+    assert 9 * v3 + 2 * v4 > 6 * ps.n - 6  # 9 v3 + 2 v4 <= 6n - 6 fails
+    assert v3 > 1  # every point of a convex chain is on the hull
+
+
+def test_degree_statistic_verifiers_flag_a_tampered_expectation(monkeypatch):
+    ps = gen_cap_with_apex(6)
+    dv = expected_degree_vector(ps)
+    n, pg = ps.n, dv.pg
+    # every point isolated and of degree 1 at once, none of degree 2 or 3
+    ving = (n * pg, n * pg, 0, 0) + dv.ving_counts[4:]
+    tampered = DegreeExpectation(
+        pg=pg,
+        ving_counts=ving,
+        vhat=tuple(Fraction(v, pg) for v in ving),
+        per_point=dv.per_point,
+    )
+    monkeypatch.setattr(verify_mod, "expected_degree_vector", lambda ps, max_n=None: tampered)
+    reports = {
+        r.claim: r
+        for r in [verify_v0_upper(ps)]
+        + verify_vi_upper(ps)
+        + verify_previous_lower(ps)
+        + verify_zero_ving_recurrence(ps)
+    }
+    for claim in ("v0_upper", "vi_upper:i=1", "prior_v2_lower", "prior_v2v3_lower",
+                  "zero_ving_identity"):
+        assert reports[claim].status == VIOLATED, claim
+        assert reports[claim].witness, claim
+
+
 @pytest.mark.parametrize(
     "ps",
     [gen_convex_chain(5), gen_cap_with_apex(5), gen_triangular_hull_random(5, seed=1)],
     ids=["convex5", "cap_apex5", "random5"],
 )
 def test_visibility_and_potential_match_geometric_oracle(ps):
+    zero_ving_visibilities = []
+    charges = []
+
     def check(g: PlaneGraph) -> None:
         edges = decode(g.edges, ps.n)
+        t_edges = decode(containing_triangulation(ps, g).edges, ps.n)
         for p in range(ps.n):
-            assert visibility(ps, g, p) == oracle_visibility(ps, edges, p)
+            vis = oracle_visibility(ps, edges, p)
+            assert visibility(ps, g, p) == vis
             assert potential(ps, g, p) == oracle_potential(ps, edges, p)
+            # potential monotonicity: pt(p, G) >= deg_T(p) for T containing G
+            assert potential(ps, g, p) >= sum(1 for e in t_edges if p in e)
+            if not any(p in e for e in edges):
+                zero_ving_visibilities.append(vis)
+        charges.append(graph_charge_v0(ps, g).as_fraction())
 
     assert enumerate_plane_graphs(ps, check) > 0
+    report = verify_visibility_lemma(ps)
+    assert report.details["min_visibility"] == min(zero_ving_visibilities)
+    report = verify_graph_charge_cap(ps)
+    if is_triangular_hull(ps):
+        assert report.status == HOLDS
+        assert report.details["max_charge"] == max(charges)
+    else:
+        assert report.status == NOT_APPLICABLE
