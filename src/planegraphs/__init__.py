@@ -42,7 +42,6 @@ from .enumeration import (  # noqa: F401
     total_edge_incidences,
 )
 from .charging import (  # noqa: F401
-    DyadicRational,
     charge_audit,
     family_census,
     family_charge_profile,

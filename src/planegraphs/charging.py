@@ -4,80 +4,23 @@ The charging argument moves charge between vings (point-in-graph instances)
 of *different* plane graphs of the same point set.  The unit of structure is
 the family: starting from a graph where p is isolated, connect p to any
 subset of the vertices it can see; a family of visibility j has exactly 2^j
-members, one per subset.  Charges are dyadic rationals and every computation
-here is exact.
+members, one per subset.  Charges are exact dyadic values held as
+:class:`~fractions.Fraction`; every computation here is exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .enumeration import PlaneGraph, _check_cap, _point_degree_row, workspace
+from .enumeration import (
+    PlaneGraph,
+    _check_cap,
+    _point_degree_row,
+    expected_degree_vector,
+    workspace,
+)
 from .geometry import PointSet
-
-
-@dataclass(frozen=True)
-class DyadicRational:
-    """numerator / 2**exponent, normalized to odd numerator or exponent 0."""
-
-    numerator: int
-    exponent: int
-
-    def __post_init__(self):
-        if self.exponent < 0:
-            raise ValueError("exponent must be non-negative")
-        num, exp = self.numerator, self.exponent
-        while exp > 0 and num != 0 and num % 2 == 0:
-            num //= 2
-            exp -= 1
-        if num == 0:
-            exp = 0
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "exponent", exp)
-
-    @classmethod
-    def one_over_pow2(cls, e: int) -> "DyadicRational":
-        return cls(1, e)
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, 1 << self.exponent)
-
-    def __add__(self, other: "DyadicRational") -> "DyadicRational":
-        if not isinstance(other, DyadicRational):
-            return NotImplemented
-        e = max(self.exponent, other.exponent)
-        num = (self.numerator << (e - self.exponent)) + (
-            other.numerator << (e - other.exponent)
-        )
-        return DyadicRational(num, e)
-
-    def _other_ratio(self, other) -> tuple[int, int] | None:
-        if isinstance(other, DyadicRational):
-            return other.numerator, 1 << other.exponent
-        if isinstance(other, int):
-            return other, 1
-        if isinstance(other, Fraction):
-            return other.numerator, other.denominator
-        return None
-
-    def __lt__(self, other):
-        ratio = self._other_ratio(other)
-        if ratio is None:
-            return NotImplemented
-        c, d = ratio
-        return self.numerator * d < c << self.exponent
-
-    def __le__(self, other):
-        ratio = self._other_ratio(other)
-        if ratio is None:
-            return NotImplemented
-        c, d = ratio
-        return self.numerator * d <= c << self.exponent
-
-    def __float__(self) -> float:
-        return self.numerator / (1 << self.exponent)
 
 
 def visibility(ps: PointSet, g: PlaneGraph, p: int) -> int:
@@ -156,13 +99,23 @@ def max_family_charge(i: int) -> tuple[tuple[int, ...], Fraction]:
     return tuple(argmax), best
 
 
-def graph_charge_v0(ps: PointSet, g: PlaneGraph) -> DyadicRational:
+def _scaled_charge(incident_masks: tuple[int, ...], blocked: int, top: int) -> int:
+    """2^top * sum_p 2^-pt(p, G) for the graph G whose blocked mask is `blocked`."""
+    return sum(1 << (top - (inc & ~blocked).bit_count()) for inc in incident_masks)
+
+
+def _dyadic_pair(num: int, top: int) -> tuple[int, int]:
+    """num / 2^top in lowest terms, as (numerator, exponent): the report's pair."""
+    shift = min(top, (num & -num).bit_length() - 1) if num else top
+    return num >> shift, top - shift
+
+
+def graph_charge_v0(ps: PointSet, g: PlaneGraph) -> Fraction:
     """Total redistributed 0-ving charge sitting in g: sum_p 2^-pt(p, g)."""
     ws = workspace(ps)
-    top = ps.n - 1  # potential is at most n-1
-    free = ~ws.blocked(g.edges)
-    num = sum(1 << (top - (inc & free).bit_count()) for inc in ws.table.incident_masks)
-    return DyadicRational(num, top)
+    top = max(ps.n - 1, 0)  # potential is at most n-1
+    num = _scaled_charge(ws.table.incident_masks, ws.blocked(g.edges), top)
+    return Fraction(num, 1 << top)
 
 
 def lp_charge_cap(n: int) -> Fraction:
@@ -240,59 +193,49 @@ def family_census(ps: PointSet, p: int, max_n: int | None = None) -> dict[int, i
 
 
 def charge_audit(ps: PointSet, max_n: int | None = None) -> dict:
-    """Per-graph charges, by one scan over every plane graph, plus the family
-    census per point, from the degree rows.
+    """Per-graph charges, by one scan over every plane graph, plus pg, the
+    0-ving count and the family census per point, from the counting DP.
 
-    The two conservation identities are checked on the way: the total graph
-    charge equals the number of 0-vings, and each point's family sizes sum
-    to pg(P).
+    The scan is checked against the DP on the way: it visits pg(P) graphs,
+    and their total charge equals the number of 0-vings.  Each point's
+    family sizes sum to pg(P).
     """
-    _check_cap(ps, max_n)
+    dv = expected_degree_vector(ps, max_n=max_n)
+    zero_vings = dv.ving_counts[0] if ps.n else 0
     ws = workspace(ps)
-    n = ps.n
     inc = ws.table.incident_masks
-    top = n - 1
+    top = max(ps.n - 1, 0)
 
     per_graph: list[dict] = []
     total_num = 0
-    zero_vings = 0
 
     def scan(edges: int, blocked: int) -> None:
-        nonlocal total_num, zero_vings
-        num = 0
-        for mask in inc:
-            num += 1 << (top - (mask & ~blocked).bit_count())
-            if not (edges & mask):
-                zero_vings += 1
+        nonlocal total_num
+        num = _scaled_charge(inc, blocked, top)
         total_num += num
-        charge = DyadicRational(num, top)
-        per_graph.append(
-            {
-                "graph": f"{edges:x}",
-                "charge_numerator": charge.numerator,
-                "charge_exponent": charge.exponent,
-            }
-        )
+        num, exp = _dyadic_pair(num, top)
+        per_graph.append({"graph": f"{edges:x}", "charge_numerator": num, "charge_exponent": exp})
 
     ws.enumerate_restricted(ws.full, scan)
-    pg = len(per_graph)
-    total_charge = DyadicRational(total_num, top)
-    if total_charge.as_fraction() != zero_vings:
+    if len(per_graph) != dv.pg:
+        raise AssertionError("the scan and the counting DP disagree on pg")
+    if total_num != zero_vings << top:
         raise AssertionError("charge conservation failed: total != zero-ving count")
+    total_num, total_exp = _dyadic_pair(total_num, top)
 
     census_rows = []
-    for p in range(n):
-        census = family_census(ps, p, max_n=max_n)
-        if sum(mult << j for j, mult in census.items()) != pg:
+    for p, row in enumerate(dv.per_point):
+        census = census_from_degree_row(row)
+        if sum(mult << j for j, mult in census.items()) != dv.pg:
             raise AssertionError(f"family sizes of point {p} do not sum to pg")
         for j, mult in census.items():
             census_rows.append({"point": p, "visibility_j": j, "multiplicity": mult})
 
     return {
-        "pg": pg,
+        "pg": dv.pg,
         "zero_ving_count": zero_vings,
-        "total_charge_numerator": total_charge.numerator,
-        "total_charge_exponent": total_charge.exponent,
+        "total_charge_numerator": total_num,
+        "total_charge_exponent": total_exp,
         "per_graph_charges": per_graph,
         "family_census": census_rows,
     }

@@ -29,7 +29,7 @@ from .enumeration import (
     expected_degree_vector,
     work_estimate,
 )
-from .geometry import GeneralPositionError, PointSet, PtsFormatError, load_pts
+from .geometry import GeneralPositionError, load_pts
 from .reports import dumps_csv, dumps_json, envelope
 from .verify import ALL_CLAIMS, run_claims
 
@@ -77,9 +77,8 @@ class RunConfig:
         return cap
 
 
-def _add_common(parser: argparse.ArgumentParser, pts_arg: bool = True) -> None:
-    if pts_arg:
-        parser.add_argument("pts", help="point-set file in .pts format")
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("pts", help="point-set file in .pts format")
     parser.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
     parser.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
     parser.add_argument("--out", type=Path, default=None, help="write the report here instead of stdout")
@@ -92,10 +91,6 @@ def _emit(text: str, out: Path | None) -> None:
         sys.stdout.write(text)
     else:
         out.write_text(text)
-
-
-def _load(args) -> PointSet:
-    return load_pts(args.pts)
 
 
 def cmd_validate(args) -> int:
@@ -111,7 +106,7 @@ def cmd_validate(args) -> int:
 
 def cmd_count(args) -> int:
     cfg = RunConfig.from_args(args)
-    ps = _load(args)
+    ps = load_pts(args.pts)
     pg = count_plane_graphs(ps, max_n=cfg.cap(ps.n))
     print(pg)
     if cfg.out is not None:
@@ -125,7 +120,7 @@ def cmd_count(args) -> int:
 
 def cmd_degrees(args) -> int:
     cfg = RunConfig.from_args(args)
-    ps = _load(args)
+    ps = load_pts(args.pts)
     dv = expected_degree_vector(ps, max_n=cfg.cap(ps.n), workers=cfg.workers)
     if cfg.fmt == "json":
         payload = envelope("degrees", ps) | {
@@ -149,7 +144,7 @@ def cmd_degrees(args) -> int:
 
 def cmd_triangulations(args) -> int:
     cfg = RunConfig.from_args(args)
-    ps = _load(args)
+    ps = load_pts(args.pts)
     stats = enumerate_triangulations(ps, max_n=cfg.cap(ps.n))
     if cfg.fmt == "json":
         payload = envelope("triangulations", ps) | {
@@ -176,7 +171,7 @@ def cmd_triangulations(args) -> int:
 
 def cmd_charge_audit(args) -> int:
     cfg = RunConfig.from_args(args)
-    ps = _load(args)
+    ps = load_pts(args.pts)
     audit = charge_audit(ps, max_n=cfg.cap(ps.n))
     if cfg.fmt == "json":
         payload = envelope("charge-audit", ps) | {
@@ -211,7 +206,7 @@ def cmd_charge_audit(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = RunConfig.from_args(args)
-    ps = _load(args)
+    ps = load_pts(args.pts)
     claims = args.claims.split(",") if args.claims else None
     reports = run_claims(ps, claims, max_n=cfg.cap(ps.n))
     payload = envelope("verify", ps) | {
@@ -343,9 +338,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PtsFormatError, GeneralPositionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except EnumerationLimitError as exc:
         print(f"error: {exc} (use --force or --max-n to override)", file=sys.stderr)
         return 2

@@ -26,7 +26,6 @@ class SegmentTable:
     index_of: dict[tuple[int, int], int]
     hull_edge_flags: int
     incident_masks: tuple[int, ...]      # per point: mask of incident segments
-    pair_index: tuple[tuple[int, ...], ...]  # pair_index[i][j] = segment index
 
     @property
     def m(self) -> int:
@@ -35,9 +34,6 @@ class SegmentTable:
     @property
     def full_mask(self) -> int:
         return (1 << self.m) - 1
-
-    def index(self, i: int, j: int) -> int:
-        return self.pair_index[i][j]
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,10 +51,8 @@ def build_segment_table(ps: PointSet) -> SegmentTable:
     n = ps.n
     segments = tuple((i, j) for i in range(n) for j in range(i + 1, n))
     index_of = {seg: k for k, seg in enumerate(segments)}
-    pair_index = [[-1] * n for _ in range(n)]
     incident = [0] * n
     for k, (i, j) in enumerate(segments):
-        pair_index[i][j] = pair_index[j][i] = k
         incident[i] |= 1 << k
         incident[j] |= 1 << k
     hull_flags = 0
@@ -72,7 +66,6 @@ def build_segment_table(ps: PointSet) -> SegmentTable:
         index_of=index_of,
         hull_edge_flags=hull_flags,
         incident_masks=tuple(incident),
-        pair_index=tuple(tuple(row) for row in pair_index),
     )
 
 

@@ -108,7 +108,8 @@ class TriangulationStats:
 
 
 class _Workspace:
-    """Per-point-set enumeration state: conflict masks plus the count memo."""
+    """Per-point-set enumeration state: conflict masks, the count memo and
+    the triangulations, once walked."""
 
     def __init__(self, ps: PointSet):
         self.ps = ps
@@ -117,6 +118,7 @@ class _Workspace:
         self.m = self.table.m
         self.full = self.table.full_mask
         self.memo: dict[int, int] = {}
+        self.triangulations: TriangulationStats | None = None
 
     # -- memoized independent-set counting over an available-segment mask ----
 
@@ -391,19 +393,18 @@ def containing_triangulation(ps: PointSet, g: PlaneGraph) -> PlaneGraph:
     return PlaneGraph(edges, ps.n)
 
 
-def enumerate_triangulations(
-    ps: PointSet,
-    visitor: Callable[[PlaneGraph], None] | None = None,
-    max_n: int | None = None,
-) -> TriangulationStats:
+def enumerate_triangulations(ps: PointSet, max_n: int | None = None) -> TriangulationStats:
     """Visit exactly the maximal plane graphs; record per-graph degree data.
 
     Depth-first over segment indices: a skipped segment must later be crossed
     by a chosen one (tracked in `pending`), otherwise the branch cannot reach
-    a maximal graph and is pruned.
+    a maximal graph and is pruned.  The result is kept on the point set's
+    workspace, so a second call returns it without a walk.
     """
     _check_cap(ps, max_n)
     ws = workspace(ps)
+    if ws.triangulations is not None:
+        return ws.triangulations
     n, m = ps.n, ws.m
     cross = ws.cross
     inc = ws.table.incident_masks
@@ -423,8 +424,6 @@ def enumerate_triangulations(
         records.append(
             TriangulationRecord(graph=g, v3=v3, v4=v4, histogram=tuple(hist))
         )
-        if visitor is not None:
-            visitor(g)
 
     def rec(k: int, chosen: int, forbidden: int, pending: int) -> None:
         if k == m:
@@ -440,4 +439,5 @@ def enumerate_triangulations(
             rec(k + 1, chosen, forbidden, pending | bit)
 
     rec(0, 0, 0, 0)
-    return TriangulationStats(count=len(records), records=tuple(records))
+    ws.triangulations = TriangulationStats(count=len(records), records=tuple(records))
+    return ws.triangulations

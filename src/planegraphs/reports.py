@@ -13,7 +13,6 @@ import json
 from fractions import Fraction
 
 from . import __version__
-from .charging import DyadicRational
 from .crossings import SEGMENT_INDEXING
 from .geometry import PointSet
 
@@ -28,8 +27,6 @@ def jsonify(obj):
         return obj
     if isinstance(obj, Fraction):
         return frac_json(obj)
-    if isinstance(obj, DyadicRational):
-        return {"num": str(obj.numerator), "exp": obj.exponent}
     if isinstance(obj, int):
         return obj if abs(obj) < 2**53 else str(obj)
     if isinstance(obj, float):

@@ -74,7 +74,7 @@ def _descriptor(ps: PointSet) -> str:
 def verify_v0_upper(ps: PointSet, max_n: int | None = None) -> VerificationReport:
     """Expected isolated-vertex bound 11n/112 for triangular-hull sets, n >= 5."""
     dv = expected_degree_vector(ps, max_n=max_n)
-    vhat0 = dv.vhat[0]
+    vhat0 = dv.vhat[0] if ps.n else Fraction(0)
     bound = Fraction(11 * ps.n, 112)
     details = {
         "vhat0": vhat0,
@@ -358,7 +358,7 @@ def verify_zero_ving_recurrence(
 
     reports = []
 
-    total_zero = dv.ving_counts[0]
+    total_zero = dv.ving_counts[0] if n else 0
     rhs_general = sum(drop_counts.values())
     margin_a = Fraction(total_zero - rhs_general)
     reports.append(
@@ -391,7 +391,7 @@ def verify_zero_ving_recurrence(
     )
 
     # pg >= (n / vhat_0) * min_q pg(P minus q)  <=>  ving_0 >= n * min_q
-    min_drop = min(drop_counts.values())
+    min_drop = min(drop_counts.values(), default=0)
     margin_c = Fraction(total_zero - n * min_drop)
     reports.append(
         VerificationReport(

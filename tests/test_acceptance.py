@@ -191,7 +191,7 @@ def test_c09_charging_conservation_exhaustive():
 
             def accumulate(g):
                 nonlocal total
-                total += graph_charge_v0(ps, g).as_fraction()
+                total += graph_charge_v0(ps, g)
 
             enumerate_plane_graphs(ps, accumulate)
             assert total == dv.ving_counts[0]

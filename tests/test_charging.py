@@ -2,11 +2,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from planegraphs import (
-    DyadicRational,
     PlaneGraph,
     charge_audit,
     count_plane_graphs,
@@ -27,32 +24,6 @@ from planegraphs import (
 )
 from planegraphs.certified import PI_HI
 from planegraphs.crossings import structures
-
-
-class TestDyadicRational:
-    def test_normalization(self):
-        d = DyadicRational(4, 3)
-        assert (d.numerator, d.exponent) == (1, 1)
-        assert DyadicRational(0, 7) == DyadicRational(0, 0)
-        assert DyadicRational(3, 3).as_fraction() == Fraction(3, 8)
-
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            DyadicRational(1, -1)
-
-    @given(st.integers(-1000, 1000), st.integers(0, 20),
-           st.integers(-1000, 1000), st.integers(0, 20))
-    @settings(max_examples=200)
-    def test_addition_matches_fractions(self, n1, e1, n2, e2):
-        a, b = DyadicRational(n1, e1), DyadicRational(n2, e2)
-        assert (a + b).as_fraction() == a.as_fraction() + b.as_fraction()
-        assert (a < b) == (a.as_fraction() < b.as_fraction())
-        assert (a <= b) == (a.as_fraction() <= b.as_fraction())
-
-    def test_compare_with_fraction_and_int(self):
-        assert DyadicRational(3, 2) < Fraction(7, 8)
-        assert DyadicRational(3, 2) <= 1
-        assert not DyadicRational(9, 3) < 1
 
 
 class TestVisibilityAndPotential:
@@ -180,8 +151,7 @@ class TestChargeProfile:
 
 class TestGraphCharge:
     def test_empty_triangle(self, triangle):
-        charge = graph_charge_v0(triangle, PlaneGraph(0, 3))
-        assert charge.as_fraction() == Fraction(3, 4)
+        assert graph_charge_v0(triangle, PlaneGraph(0, 3)) == Fraction(3, 4)
 
     def test_triangulation_charge_is_degree_sum(self, small_sets):
         for ps in small_sets[:4]:
@@ -191,7 +161,7 @@ class TestGraphCharge:
                     (Fraction(1, 2) ** rec.graph.degree(p, table) for p in range(ps.n)),
                     Fraction(0),
                 )
-                assert graph_charge_v0(ps, rec.graph).as_fraction() == expected
+                assert graph_charge_v0(ps, rec.graph) == expected
 
     def test_total_charge_equals_zero_ving_count(self, small_sets):
         for ps in small_sets[:4]:
@@ -200,7 +170,7 @@ class TestGraphCharge:
 
             def accumulate(g):
                 nonlocal total
-                total += graph_charge_v0(ps, g).as_fraction()
+                total += graph_charge_v0(ps, g)
 
             enumerate_plane_graphs(ps, accumulate)
             assert total == dv.ving_counts[0]
@@ -237,12 +207,21 @@ def test_charge_audit_small(triangle):
     audit = charge_audit(triangle)
     assert audit["pg"] == 8
     assert audit["zero_ving_count"] == 6
-    total = DyadicRational(audit["total_charge_numerator"], audit["total_charge_exponent"])
-    assert total.as_fraction() == 6
+    assert (audit["total_charge_numerator"], audit["total_charge_exponent"]) == (6, 0)
     assert len(audit["per_graph_charges"]) == 8
     census_by_point = {}
     for row in audit["family_census"]:
         census_by_point.setdefault(row["point"], 0)
         census_by_point[row["point"]] += row["multiplicity"] << row["visibility_j"]
     assert census_by_point == {0: 8, 1: 8, 2: 8}
+    # every reported charge is num / 2^exp in lowest terms and equals the
+    # graph's charge
+    for ps in (triangle, gen_cap_with_apex(5)):
+        rows = charge_audit(ps)["per_graph_charges"]
+        assert len(rows) == count_plane_graphs(ps)
+        for row in rows:
+            num, exp = row["charge_numerator"], row["charge_exponent"]
+            assert num % 2 == 1 or exp == 0
+            g = PlaneGraph.from_hex(row["graph"], ps.n)
+            assert Fraction(num, 2**exp) == graph_charge_v0(ps, g)
 

@@ -134,6 +134,37 @@ class TestVerify:
         assert run_cli("verify", tri_file, "--claims", "bogus") == 2
 
 
+class TestEmptyPointSet:
+    @pytest.fixture
+    def empty_file(self, tmp_path):
+        path = tmp_path / "empty.pts"
+        path.write_text("0\n")
+        return path
+
+    def test_verify_reports_every_claim(self, empty_file, capsys):
+        # the strict prior v0 bound 0 > 0 fails; everything else holds or
+        # is not applicable
+        assert run_cli("verify", empty_file) == 1
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        violated = [r for r in reports if r["status"] == "violated"]
+        assert [(r["claim"], r["witness"]) for r in violated] == [
+            ("prior_v0_lower", {"value": "0", "bound": "0"})
+        ]
+        statuses = {r["claim"]: r["status"] for r in reports}
+        assert statuses["v0_upper"] == statuses["graph_charge_cap"] == "not-applicable"
+        assert statuses["zero_ving_identity"] == "holds"
+        assert statuses["zero_ving_growth_consequence"] == "holds"
+
+    def test_charge_audit(self, empty_file, capsys):
+        assert run_cli("charge-audit", empty_file) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["pg"] == "1"
+        assert payload["zero_ving_count"] == "0"
+        assert payload["total_charge"] == {"num": "0", "exp": 0}
+        assert payload["per_graph_charges"] == [{"graph": "0", "num": "0", "exp": 0}]
+        assert payload["family_census"] == []
+
+
 class TestGen:
     def test_gen_count_pipeline(self, tmp_path, capsys):
         pts = tmp_path / "chain5.pts"

@@ -41,7 +41,7 @@ def test_incidence_and_pair_index(small_sets):
     for ps in small_sets:
         table, _ = structures(ps)
         for k, (i, j) in enumerate(table.segments):
-            assert table.pair_index[i][j] == k == table.pair_index[j][i]
+            assert table.index_of[(i, j)] == k
             assert table.incident_masks[i] >> k & 1
             assert table.incident_masks[j] >> k & 1
         for p in range(ps.n):

@@ -7,7 +7,7 @@ hypotheses.  Each witness is then replayed with a geometric oracle built
 from `segments_cross` on the coordinates.  The oracle never reads the
 crossing bit-vectors, which feed both `visibility` and the verifiers.  The
 verifiers that read expected-degree statistics are fed a tampered
-`DegreeExpectation`.
+`DegreeExpectation`, and the product law a miscounted pg.
 
 The verifiers read their answers off the counting DP and the
 triangulations; a walk over every plane graph of three 5-point sets is the
@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import pytest
 
+import planegraphs.constructions as constructions_mod
 import planegraphs.verify as verify_mod
 from planegraphs import (
     DegreeExpectation,
@@ -36,6 +37,7 @@ from planegraphs import (
     segments_cross,
     verify_graph_charge_cap,
     verify_previous_lower,
+    verify_product_law,
     verify_triangulation_degree_lemmas,
     verify_v0_upper,
     verify_vi_upper,
@@ -135,30 +137,68 @@ def test_triangulation_degree_lemmas_violation_replays(monkeypatch):
     assert v3 > 1  # every point of a convex chain is on the hull
 
 
-def test_degree_statistic_verifiers_flag_a_tampered_expectation(monkeypatch):
-    ps = gen_cap_with_apex(6)
-    dv = expected_degree_vector(ps)
-    n, pg = ps.n, dv.pg
-    # every point isolated and of degree 1 at once, none of degree 2 or 3
-    ving = (n * pg, n * pg, 0, 0) + dv.ving_counts[4:]
-    tampered = DegreeExpectation(
-        pg=pg,
+def _inflated(dv: DegreeExpectation, n: int) -> DegreeExpectation:
+    """Every point isolated and of degree 1 at once, none of degree 2 or 3."""
+    ving = (n * dv.pg, n * dv.pg, 0, 0) + dv.ving_counts[4:]
+    return DegreeExpectation(
+        pg=dv.pg,
         ving_counts=ving,
-        vhat=tuple(Fraction(v, pg) for v in ving),
+        vhat=tuple(Fraction(v, dv.pg) for v in ving),
         per_point=dv.per_point,
     )
+
+
+def _deflated(dv: DegreeExpectation, n: int) -> DegreeExpectation:
+    """No point is ever isolated or of degree 1."""
+    ving = (0, 0) + dv.ving_counts[2:]
+    return DegreeExpectation(
+        pg=dv.pg,
+        ving_counts=ving,
+        vhat=tuple(Fraction(v, dv.pg) for v in ving),
+        per_point=tuple((0,) + row[1:] for row in dv.per_point),
+    )
+
+
+def _tampered_reports(monkeypatch, tamper) -> dict:
+    ps = gen_cap_with_apex(6)
+    tampered = tamper(expected_degree_vector(ps), ps.n)
     monkeypatch.setattr(verify_mod, "expected_degree_vector", lambda ps, max_n=None: tampered)
-    reports = {
+    return {
         r.claim: r
         for r in [verify_v0_upper(ps)]
         + verify_vi_upper(ps)
         + verify_previous_lower(ps)
         + verify_zero_ving_recurrence(ps)
     }
+
+
+def test_degree_statistic_verifiers_flag_a_tampered_expectation(monkeypatch):
+    reports = _tampered_reports(monkeypatch, _inflated)
     for claim in ("v0_upper", "vi_upper:i=1", "prior_v2_lower", "prior_v2v3_lower",
                   "zero_ving_identity"):
         assert reports[claim].status == VIOLATED, claim
         assert reports[claim].witness, claim
+
+
+def test_degree_statistic_verifiers_flag_a_deflated_expectation(monkeypatch):
+    reports = _tampered_reports(monkeypatch, _deflated)
+    for claim in ("prior_v0_lower", "prior_v1_lower", "zero_ving_identity_internal",
+                  "zero_ving_growth_consequence"):
+        assert reports[claim].status == VIOLATED, claim
+        assert reports[claim].witness, claim
+    assert reports["zero_ving_identity_internal"].witness == {"lhs": "0", "rhs": "2304"}
+
+
+def test_product_law_flags_a_miscount(monkeypatch):
+    count = constructions_mod.count_plane_graphs
+    monkeypatch.setattr(
+        constructions_mod,
+        "count_plane_graphs",
+        lambda ps, max_n=None: count(ps, max_n=max_n) + (ps.n == 6),
+    )
+    report = verify_product_law(6)
+    assert report.status == VIOLATED
+    assert report.witness == {"lhs": "11265", "rhs": "11264"}
 
 
 @pytest.mark.parametrize(
@@ -181,7 +221,7 @@ def test_visibility_and_potential_match_geometric_oracle(ps):
             assert potential(ps, g, p) >= sum(1 for e in t_edges if p in e)
             if not any(p in e for e in edges):
                 zero_ving_visibilities.append(vis)
-        charges.append(graph_charge_v0(ps, g).as_fraction())
+        charges.append(graph_charge_v0(ps, g))
 
     assert enumerate_plane_graphs(ps, check) > 0
     report = verify_visibility_lemma(ps)

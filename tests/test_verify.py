@@ -121,6 +121,22 @@ class TestTriangulationDegreeLemmas:
             r.status == NOT_APPLICABLE for r in verify_triangulation_degree_lemmas(convex4)
         )
 
+    def test_shares_one_walk_with_the_charge_cap(self, monkeypatch):
+        import planegraphs.enumeration as enumeration_mod
+
+        enumeration_mod._workspace.cache_clear()  # start without cached triangulations
+        walks = []
+        stats_cls = enumeration_mod.TriangulationStats
+
+        def counted(**fields):
+            walks.append(fields["count"])
+            return stats_cls(**fields)
+
+        monkeypatch.setattr(enumeration_mod, "TriangulationStats", counted)
+        reports = run_claims(gen_cap_with_apex(6), ["triangulation_degrees", "charge_cap"])
+        assert [r.status for r in reports] == [HOLDS] * 4
+        assert len(walks) == 1
+
 
 class TestGraphChargeCap:
     def test_holds_with_monotonicity(self):
