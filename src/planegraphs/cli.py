@@ -2,7 +2,8 @@
 
 Subcommands: validate, count, degrees, triangulations, charge-audit, verify,
 gen, construction-report.  Exit status 0 on success, 1 when an applicable
-verified claim is violated, 2 on usage or validation errors.  Reports are
+verified claim is violated, 2 on usage or validation errors, and on inputs
+too large to finish (recursion depth or memory exhausted).  Reports are
 byte-identical across runs and worker counts.
 """
 
@@ -346,6 +347,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (RecursionError, MemoryError) as exc:
+        # Huge inputs past the cap (--force) can exhaust the recursion
+        # limit of the depth-first walks or the memory.
+        print(f"error: input too large ({type(exc).__name__}: {exc})", file=sys.stderr)
         return 2
 
 

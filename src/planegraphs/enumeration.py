@@ -18,10 +18,12 @@ conflict bit-vectors of :mod:`planegraphs.crossings`:
   graphs.  They use a memoized counting routine that strips conflict-free
   segments in bulk, splits the conflict graph into connected components, and
   branches on a maximum-degree pivot.  Counting runs serially.  Degree
-  statistics come from counting, for every point p and every subset E of its
-  incident segments, the graphs whose edge set at p is exactly E; subsets of
-  segments at a common endpoint never cross, so those counts partition the
-  graph census.  The per-point rows may be spread over worker processes.
+  statistics come from one weighted pass per point p: the same routine gives
+  each segment at p the weight x, so a free weighted segment contributes
+  (1 + x), components multiply and a weighted pivot adds x times its "with"
+  branch.  The result is p's degree polynomial sum_d row[d] x^d, packed into
+  one integer at x = 2^(m+1), whose digits are the row.  The per-point rows
+  may be spread over worker processes.
 
 All aggregates are exact big integers / rationals, and parallel runs return
 per-point integer rows in point order, so results are bit-identical for any
@@ -108,8 +110,8 @@ class TriangulationStats:
 
 
 class _Workspace:
-    """Per-point-set enumeration state: conflict masks, the count memo and
-    the triangulations, once walked."""
+    """Per-point-set enumeration state: conflict masks, the count memo, and
+    the degree vector and the triangulations, once computed."""
 
     def __init__(self, ps: PointSet):
         self.ps = ps
@@ -117,20 +119,39 @@ class _Workspace:
         self.cross = self.crossings.cross
         self.m = self.table.m
         self.full = self.table.full_mask
+        self.digit_bits = self.m + 1
         self.memo: dict[int, int] = {}
+        self.degrees: DegreeExpectation | None = None
         self.triangulations: TriangulationStats | None = None
 
     # -- memoized independent-set counting over an available-segment mask ----
 
-    def count_independent(self, avail: int) -> int:
+    def count_independent(
+        self, avail: int, weighted: int = 0, memo: dict[int, int] | None = None
+    ) -> int:
+        """Number of independent subsets of `avail`, or, with `weighted`, their
+        packed polynomial sum_d c_d x^d, where c_d counts the subsets holding d
+        segments of `weighted`.
+
+        The polynomial is evaluated at x = 2^B with B = ``self.digit_bits`` =
+        m + 1.  Every coefficient counts edge sets, so it is at most 2^m < 2^B,
+        and each c_d is the B-bit digit d of the result.  A digit that carried
+        would break ``sum(row) == pg`` in :func:`expected_degree_vector`.
+        Results with ``avail & weighted == 0`` are plain counts and go to the
+        shared ``self.memo``; the others go to `memo`, which the caller owns
+        and which must belong to this `weighted` mask alone.
+        """
         if avail == 0:
             return 1
-        memo = self.memo
+        weighted &= avail
+        if not weighted:
+            memo = self.memo
         hit = memo.get(avail)
         if hit is not None:
             return hit
         cross = self.cross
-        # Segments with no conflict inside `avail` contribute a free factor 2.
+        # Segments with no conflict inside `avail` contribute a free factor 2,
+        # or (1 + x) if weighted.
         free = 0
         active = 0
         mm = avail
@@ -141,40 +162,49 @@ class _Workspace:
             else:
                 free += 1
             mm ^= lsb
+        free_weighted = (weighted & ~active).bit_count() if weighted else 0
+        free -= free_weighted
         if active == 0:
             result = 1 << free
-            memo[avail] = result
-            return result
-        # Connected component of the lowest active segment.
-        comp = active & -active
-        frontier = comp
-        while frontier:
-            grow = 0
-            ff = frontier
-            while ff:
-                lsb = ff & -ff
-                grow |= cross[lsb.bit_length() - 1] & active & ~comp
-                ff ^= lsb
-            comp |= grow
-            frontier = grow
-        rest = active & ~comp
-        if rest:
-            result = self.count_independent(comp) * self.count_independent(rest) << free
-            memo[avail] = result
-            return result
-        # Branch on a maximum-conflict-degree pivot inside the component.
-        best_deg, pivot = -1, -1
-        mm = comp
-        while mm:
-            lsb = mm & -mm
-            k = lsb.bit_length() - 1
-            deg = (cross[k] & comp).bit_count()
-            if deg > best_deg:
-                best_deg, pivot = deg, k
-            mm ^= lsb
-        without = self.count_independent(comp & ~(1 << pivot))
-        with_it = self.count_independent(comp & ~(1 << pivot) & ~cross[pivot])
-        result = (without + with_it) << free
+        else:
+            # Connected component of the lowest active segment.
+            comp = active & -active
+            frontier = comp
+            while frontier:
+                grow = 0
+                ff = frontier
+                while ff:
+                    lsb = ff & -ff
+                    grow |= cross[lsb.bit_length() - 1] & active & ~comp
+                    ff ^= lsb
+                comp |= grow
+                frontier = grow
+            rest = active & ~comp
+            if rest:
+                result = (
+                    self.count_independent(comp, weighted, memo)
+                    * self.count_independent(rest, weighted, memo)
+                    << free
+                )
+            else:
+                # Branch on a maximum-conflict-degree pivot inside the component.
+                best_deg, pivot = -1, -1
+                mm = comp
+                while mm:
+                    lsb = mm & -mm
+                    k = lsb.bit_length() - 1
+                    deg = (cross[k] & comp).bit_count()
+                    if deg > best_deg:
+                        best_deg, pivot = deg, k
+                    mm ^= lsb
+                bit = 1 << pivot
+                without = self.count_independent(comp & ~bit, weighted, memo)
+                with_it = self.count_independent(comp & ~bit & ~cross[pivot], weighted, memo)
+                if weighted & bit:
+                    with_it <<= self.digit_bits
+                result = (without + with_it) << free
+        if free_weighted:
+            result *= ((1 << self.digit_bits) + 1) ** free_weighted
         memo[avail] = result
         return result
 
@@ -314,29 +344,16 @@ def count_plane_graphs_bruteforce(ps: PointSet) -> int:
 def _point_degree_row(ws: _Workspace, p: int) -> tuple[int, ...]:
     """row[d] = number of plane graphs in which point p has degree d.
 
-    Fix the exact set E of edges at p (any subset of incident segments is
-    internally crossing-free since they share the endpoint p), remove from
-    the universe all other incident segments and everything E crosses, and
-    count the remaining independent sets.
+    One weighted count over the whole universe, with weight x on the
+    segments at p, gives sum_d row[d] x^d packed at x = 2^B, B = m + 1 (see
+    :meth:`_Workspace.count_independent`).  No row entry exceeds pg <= 2^m,
+    so the B-bit digits do not carry; the ``sum(row) == pg`` assertion in
+    :func:`expected_degree_vector` would catch one that did.
     """
-    n = ws.table.n
-    inc_mask = ws.table.incident_masks[p]
-    incident = []
-    mm = inc_mask
-    while mm:
-        lsb = mm & -mm
-        incident.append(lsb.bit_length() - 1)
-        mm ^= lsb
-    base = ws.full & ~inc_mask
-    row = [0] * n
-    subsets = 1 << len(incident)
-    forbidden = [0] * subsets
-    for eb in range(1, subsets):
-        low = eb & -eb
-        forbidden[eb] = forbidden[eb ^ low] | ws.cross[incident[low.bit_length() - 1]]
-    for eb in range(subsets):
-        row[eb.bit_count()] += ws.count_independent(base & ~forbidden[eb])
-    return tuple(row)
+    poly = ws.count_independent(ws.full, ws.table.incident_masks[p], {})
+    bits = ws.digit_bits
+    digit = (1 << bits) - 1
+    return tuple(poly >> (d * bits) & digit for d in range(ws.table.n))
 
 
 def expected_degree_vector(
@@ -344,9 +361,15 @@ def expected_degree_vector(
     max_n: int | None = None,
     workers: int = 1,
 ) -> DegreeExpectation:
-    """Exact v-hat vector: expected number of degree-i vertices for each i."""
+    """Exact v-hat vector: expected number of degree-i vertices for each i.
+
+    The result is kept on the point set's workspace, so a second call
+    returns it without a count.
+    """
     _check_cap(ps, max_n)
     ws = workspace(ps)
+    if ws.degrees is not None:
+        return ws.degrees
     n = ps.n
     if workers <= 1:
         rows = [_point_degree_row(ws, p) for p in range(n)]
@@ -358,7 +381,8 @@ def expected_degree_vector(
             raise AssertionError("per-point degree counts must partition the census")
     ving = tuple(sum(row[i] for row in rows) for i in range(n))
     vhat = tuple(Fraction(v, pg) for v in ving)
-    return DegreeExpectation(pg=pg, ving_counts=ving, vhat=vhat, per_point=tuple(rows))
+    ws.degrees = DegreeExpectation(pg=pg, ving_counts=ving, vhat=vhat, per_point=tuple(rows))
+    return ws.degrees
 
 
 def total_edge_incidences(ps: PointSet, max_n: int | None = None) -> int:

@@ -124,6 +124,20 @@ def brute_degree_data(ps: PointSet) -> tuple[int, list[int]]:
     return graphs[0], ving
 
 
+def brute_degree_rows(ps: PointSet) -> tuple[tuple[int, ...], ...]:
+    """rows[p][d] = number of graphs in which p has degree d, by visiting
+    every graph and tallying ``PlaneGraph.degree``."""
+    table, _ = structures(ps)
+    rows = [[0] * ps.n for _ in range(ps.n)]
+
+    def visit(g):
+        for p in range(ps.n):
+            rows[p][g.degree(p, table)] += 1
+
+    enumerate_plane_graphs(ps, visit)
+    return tuple(map(tuple, rows))
+
+
 def standard_small_sets() -> list[PointSet]:
     """A mixed bag of small validated sets for cross-checking invariants."""
     return [

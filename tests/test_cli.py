@@ -165,6 +165,18 @@ class TestEmptyPointSet:
         assert payload["family_census"] == []
 
 
+def test_recursion_limit_is_a_clean_error(tmp_path, capsys):
+    # the triangulation walk recurses once per segment: m = 1035 here
+    pts = tmp_path / "chain46.pts"
+    save_pts(gen_convex_chain(46), pts)
+    assert run_cli("triangulations", pts, "--force") == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: input too large (RecursionError: maximum recursion depth exceeded)"
+    ]
+
+
 class TestGen:
     def test_gen_count_pipeline(self, tmp_path, capsys):
         pts = tmp_path / "chain5.pts"

@@ -18,9 +18,10 @@ from planegraphs import (
     is_triangulation,
     total_edge_incidences,
 )
+from planegraphs import enumeration
 from planegraphs.crossings import structures
 
-from conftest import brute_degree_data, catalan, convex_count_recurrence, coords
+from conftest import brute_degree_data, brute_degree_rows, catalan, convex_count_recurrence, coords
 
 
 def collect(ps):
@@ -118,9 +119,28 @@ class TestDegreeVector:
             assert dv.pg == pg
             assert list(dv.ving_counts) == ving
 
+    def test_rows_match_bruteforce(self, small_sets):
+        for ps in small_sets:
+            assert expected_degree_vector(ps).per_point == brute_degree_rows(ps)
+
+    def test_rows_on_tiny_sets(self, triangle):
+        # the triangle has pg = 2^m, the largest a count can be
+        cases = [
+            (coords(), 1, ()),
+            (coords((0, 0)), 1, ((1,),)),
+            (coords((0, 0), (5, 1)), 2, ((1, 1), (1, 1))),
+            (triangle, 8, ((2, 4, 2),) * 3),
+        ]
+        for ps, pg, rows in cases:
+            dv = expected_degree_vector(ps)
+            assert (dv.pg, dv.per_point) == (pg, rows)
+            assert rows == brute_degree_rows(ps)
+
     def test_workers_agree(self):
         ps = gen_cap_with_apex(6)
-        assert expected_degree_vector(ps, workers=2) == expected_degree_vector(ps)
+        pooled = expected_degree_vector(ps, workers=2)
+        enumeration._workspace.cache_clear()  # count again, not from the cache
+        assert pooled == expected_degree_vector(ps)
 
 
 class TestTriangulations:

@@ -21,6 +21,8 @@ from planegraphs import (
     validate_general_position,
 )
 
+from conftest import brute_degree_rows
+
 
 def point_sets(min_n=4, max_n=6, span=24):
     return (
@@ -51,6 +53,12 @@ def test_degree_vector_identities(ps):
     for p in range(ps.n):
         assert sum(dv.per_point[p]) == dv.pg
         assert dv.per_point[p][0] == count_plane_graphs(ps.drop(p))
+
+
+@given(point_sets())
+@settings(max_examples=20, deadline=None)
+def test_degree_rows_match_visitor_tally(ps):
+    assert expected_degree_vector(ps).per_point == brute_degree_rows(ps)
 
 
 @given(point_sets(min_n=4, max_n=5))

@@ -228,6 +228,24 @@ class TestRunClaims:
             "prior_v0_lower", "prior_v1_lower", "prior_v2_lower", "prior_v2v3_lower"
         }
 
+    def test_counts_the_degree_rows_once(self, monkeypatch):
+        import planegraphs.enumeration as enumeration_mod
+        from planegraphs import charge_audit
+
+        enumeration_mod._workspace.cache_clear()  # start without a cached degree vector
+        counted_points = []
+        row = enumeration_mod._point_degree_row
+
+        def counted(ws, p):
+            counted_points.append(p)
+            return row(ws, p)
+
+        monkeypatch.setattr(enumeration_mod, "_point_degree_row", counted)
+        ps = gen_cap_with_apex(6)
+        run_claims(ps)
+        charge_audit(ps)
+        assert counted_points == list(range(ps.n))
+
     def test_unknown_claim_rejected(self, triangle):
         with pytest.raises(ValueError):
             run_claims(triangle, ["not_a_claim"])
