@@ -39,7 +39,6 @@ from .enumeration import (  # noqa: F401
     enumerate_triangulations,
     expected_degree_vector,
     is_triangulation,
-    total_edge_incidences,
 )
 from .charging import (  # noqa: F401
     charge_audit,

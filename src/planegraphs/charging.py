@@ -13,13 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .enumeration import (
-    PlaneGraph,
-    _check_cap,
-    _point_degree_row,
-    expected_degree_vector,
-    workspace,
-)
+from .enumeration import PlaneGraph, expected_degree_vector, workspace
 from .geometry import PointSet
 
 
@@ -186,10 +180,9 @@ def family_census(ps: PointSet, p: int, max_n: int | None = None) -> dict[int, i
     """census[j] = number of families of point p with visibility j.
 
     Counted, not enumerated: the inverse binomial transform of p's degree
-    row from the counting DP (see :func:`census_from_degree_row`).
+    row in the cached degree vector (see :func:`census_from_degree_row`).
     """
-    _check_cap(ps, max_n)
-    return census_from_degree_row(_point_degree_row(workspace(ps), p))
+    return census_from_degree_row(expected_degree_vector(ps, max_n=max_n).per_point[p])
 
 
 def charge_audit(ps: PointSet, max_n: int | None = None) -> dict:

@@ -4,7 +4,13 @@ Subcommands: validate, count, degrees, triangulations, charge-audit, verify,
 gen, construction-report.  Exit status 0 on success, 1 when an applicable
 verified claim is violated, 2 on usage or validation errors, and on inputs
 too large to finish (recursion depth or memory exhausted).  Reports are
-byte-identical across runs and worker counts.
+byte-identical across runs.
+
+The point-count cap is `--max-n`, else $PLANEGRAPH_MAX_N, else
+``DEFAULT_MAX_N``, and `--force` lifts it to the input's n.  `--workers` is
+on `degrees` alone, whose per-point rows it spreads over processes; the
+report does not depend on it.  `count` always prints pg on stdout;
+`--format` shapes its `--out` report.
 """
 
 from __future__ import annotations
@@ -12,7 +18,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .constructions import (
@@ -28,7 +33,6 @@ from .enumeration import (
     count_plane_graphs,
     enumerate_triangulations,
     expected_degree_vector,
-    work_estimate,
 )
 from .geometry import GeneralPositionError, load_pts
 from .reports import dumps_csv, dumps_json, envelope
@@ -37,50 +41,18 @@ from .verify import ALL_CLAIMS, run_claims
 ENV_MAX_N = "PLANEGRAPH_MAX_N"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved CLI invocation; results never depend on `workers`."""
-
-    subcommand: str
-    pts: Path | None
-    workers: int
-    fmt: str
-    out: Path | None
-    max_n: int | None
-    force: bool
-
-    def __post_init__(self):
-        if self.workers < 1:
-            raise ValueError("worker count must be >= 1")
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        return cls(
-            subcommand=args.command,
-            pts=Path(args.pts) if getattr(args, "pts", None) else None,
-            workers=getattr(args, "workers", 1),
-            fmt=getattr(args, "fmt", "json"),
-            out=getattr(args, "out", None),
-            max_n=getattr(args, "max_n", None),
-            force=getattr(args, "force", False),
-        )
-
-    def cap(self, n: int) -> int:
-        """The effective point cap, with a work estimate past n = 10."""
-        cap = self.max_n
-        if cap is None:
-            env = os.environ.get(ENV_MAX_N)
-            cap = int(env) if env else DEFAULT_MAX_N
-        if self.force:
-            cap = max(cap, n)
-        if n > 10:
-            print(f"note: n={n}; expect {work_estimate(n)}", file=sys.stderr)
-        return cap
+def _cap(args: argparse.Namespace, n: int) -> int:
+    """The effective point cap: `--max-n`, else $PLANEGRAPH_MAX_N, else
+    ``DEFAULT_MAX_N``; `--force` raises it to n."""
+    cap = args.max_n
+    if cap is None:
+        env = os.environ.get(ENV_MAX_N)
+        cap = int(env) if env else DEFAULT_MAX_N
+    return max(cap, n) if args.force else cap
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("pts", help="point-set file in .pts format")
-    parser.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
     parser.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
     parser.add_argument("--out", type=Path, default=None, help="write the report here instead of stdout")
     parser.add_argument("--max-n", type=int, default=None, help="override the point-count cap")
@@ -106,31 +78,29 @@ def cmd_validate(args) -> int:
 
 
 def cmd_count(args) -> int:
-    cfg = RunConfig.from_args(args)
     ps = load_pts(args.pts)
-    pg = count_plane_graphs(ps, max_n=cfg.cap(ps.n))
+    pg = count_plane_graphs(ps, max_n=_cap(args, ps.n))
     print(pg)
-    if cfg.out is not None:
-        if cfg.fmt == "json":
+    if args.out is not None:
+        if args.fmt == "json":
             payload = envelope("count", ps) | {"n": ps.n, "pg": str(pg)}
-            _emit(dumps_json(payload), cfg.out)
+            _emit(dumps_json(payload), args.out)
         else:
-            _emit(dumps_csv("count", ps, ["n", "pg"], [[ps.n, pg]]), cfg.out)
+            _emit(dumps_csv("count", ps, ["n", "pg"], [[ps.n, pg]]), args.out)
     return 0
 
 
 def cmd_degrees(args) -> int:
-    cfg = RunConfig.from_args(args)
     ps = load_pts(args.pts)
-    dv = expected_degree_vector(ps, max_n=cfg.cap(ps.n), workers=cfg.workers)
-    if cfg.fmt == "json":
+    dv = expected_degree_vector(ps, max_n=_cap(args, ps.n), workers=args.workers)
+    if args.fmt == "json":
         payload = envelope("degrees", ps) | {
             "n": ps.n,
             "pg": str(dv.pg),
             "ving_counts": [str(v) for v in dv.ving_counts],
             "vhat": list(dv.vhat),
         }
-        _emit(dumps_json(payload), cfg.out)
+        _emit(dumps_json(payload), args.out)
     else:
         rows = [
             [i, dv.ving_counts[i], dv.vhat[i].numerator, dv.vhat[i].denominator]
@@ -138,16 +108,15 @@ def cmd_degrees(args) -> int:
         ]
         _emit(
             dumps_csv("degrees", ps, ["i", "ving_count", "vhat_numerator", "vhat_denominator"], rows),
-            cfg.out,
+            args.out,
         )
     return 0
 
 
 def cmd_triangulations(args) -> int:
-    cfg = RunConfig.from_args(args)
     ps = load_pts(args.pts)
-    stats = enumerate_triangulations(ps, max_n=cfg.cap(ps.n))
-    if cfg.fmt == "json":
+    stats = enumerate_triangulations(ps, max_n=_cap(args, ps.n))
+    if args.fmt == "json":
         payload = envelope("triangulations", ps) | {
             "count": str(stats.count),
             "records": [
@@ -160,21 +129,20 @@ def cmd_triangulations(args) -> int:
                 for r in stats.records
             ],
         }
-        _emit(dumps_json(payload), cfg.out)
+        _emit(dumps_json(payload), args.out)
     else:
         rows = [
             [r.graph.to_hex(), r.v3, r.v4, " ".join(map(str, r.histogram))]
             for r in stats.records
         ]
-        _emit(dumps_csv("triangulations", ps, ["graph", "v3", "v4", "histogram"], rows), cfg.out)
+        _emit(dumps_csv("triangulations", ps, ["graph", "v3", "v4", "histogram"], rows), args.out)
     return 0
 
 
 def cmd_charge_audit(args) -> int:
-    cfg = RunConfig.from_args(args)
     ps = load_pts(args.pts)
-    audit = charge_audit(ps, max_n=cfg.cap(ps.n))
-    if cfg.fmt == "json":
+    audit = charge_audit(ps, max_n=_cap(args, ps.n))
+    if args.fmt == "json":
         payload = envelope("charge-audit", ps) | {
             "pg": str(audit["pg"]),
             "zero_ving_count": str(audit["zero_ving_count"]),
@@ -192,7 +160,7 @@ def cmd_charge_audit(args) -> int:
             ],
             "family_census": audit["family_census"],
         }
-        _emit(dumps_json(payload), cfg.out)
+        _emit(dumps_json(payload), args.out)
     else:
         rows = [
             [row["point"], row["visibility_j"], row["multiplicity"]]
@@ -200,16 +168,15 @@ def cmd_charge_audit(args) -> int:
         ]
         _emit(
             dumps_csv("charge-audit", ps, ["point", "visibility_j", "multiplicity"], rows),
-            cfg.out,
+            args.out,
         )
     return 0
 
 
 def cmd_verify(args) -> int:
-    cfg = RunConfig.from_args(args)
     ps = load_pts(args.pts)
     claims = args.claims.split(",") if args.claims else None
-    reports = run_claims(ps, claims, max_n=cfg.cap(ps.n))
+    reports = run_claims(ps, claims, max_n=_cap(args, ps.n))
     payload = envelope("verify", ps) | {
         "reports": [
             {
@@ -223,7 +190,7 @@ def cmd_verify(args) -> int:
             for r in reports
         ]
     }
-    _emit(dumps_json(payload), cfg.out)
+    _emit(dumps_json(payload), args.out)
     return 1 if any(r.status == "violated" for r in reports) else 0
 
 
@@ -238,13 +205,12 @@ def cmd_gen(args) -> int:
 
 
 def cmd_construction_report(args) -> int:
-    cfg = RunConfig.from_args(args)
     n_max = args.n_max
-    cap = cfg.cap(n_max)
+    cap = _cap(args, n_max)
     ratio_rows = fn_ratio_table(n_max, max_n=cap)
     trend_rows = v0_trend_table(n_max, max_n=cap)
     product = [verify_product_law(n, max_n=cap) for n in range(4, n_max + 1)]
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         payload = envelope("construction-report", None) | {
             "fn_ratio": [
                 {**row, "exact": str(row["exact"])} for row in ratio_rows
@@ -254,7 +220,7 @@ def cmd_construction_report(args) -> int:
                 {"n": 4 + i, "status": r.status} for i, r in enumerate(product)
             ],
         }
-        _emit(dumps_json(payload), cfg.out)
+        _emit(dumps_json(payload), args.out)
     else:
         rows = []
         for row in ratio_rows:
@@ -273,7 +239,7 @@ def cmd_construction_report(args) -> int:
                 "construction-report", None,
                 ["table", "size", "value", "x1", "x2", "x3"], rows,
             ),
-            cfg.out,
+            args.out,
         )
     return 0
 
@@ -296,6 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("degrees", help="exact expected-degree statistics")
     _add_common(p)
+    p.add_argument(
+        "--workers", type=int, default=1, help="worker processes for the degree rows (default 1)"
+    )
     p.set_defaults(func=cmd_degrees)
 
     p = sub.add_parser("triangulations", help="enumerate maximal plane graphs")
@@ -324,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construction-report", help="asymptotics ratio and trend tables")
     p.add_argument("n_max", type=int)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--format", choices=("json", "csv"), default="csv", dest="fmt")
     p.add_argument("--out", type=Path, default=None)
     p.add_argument("--max-n", type=int, default=None)

@@ -49,18 +49,10 @@ class EnumerationLimitError(RuntimeError):
     """Refusal to enumerate a point set above the configured cap."""
 
 
-def work_estimate(n: int) -> str:
-    low, high = 11.65 ** n, 23.32 ** n
-    return f"roughly 11.65^{n} = {low:.3g} to 23.32^{n} = {high:.3g} plane graphs"
-
-
 def _check_cap(ps: PointSet, max_n: int | None) -> None:
     cap = DEFAULT_MAX_N if max_n is None else max_n
     if ps.n > cap:
-        raise EnumerationLimitError(
-            f"n={ps.n} exceeds the cap of {cap}; expect {work_estimate(ps.n)}. "
-            f"Pass a higher cap explicitly to proceed."
-        )
+        raise EnumerationLimitError(f"n={ps.n} exceeds the cap of {cap}")
 
 
 @dataclass(frozen=True)
@@ -363,14 +355,18 @@ def expected_degree_vector(
 ) -> DegreeExpectation:
     """Exact v-hat vector: expected number of degree-i vertices for each i.
 
-    The result is kept on the point set's workspace, so a second call
-    returns it without a count.
+    The per-point rows are spread over min(workers, n) processes, serially
+    when that is at most 1.  The result is kept on the point set's
+    workspace, so a second call returns it without a count.
     """
+    if workers < 1:
+        raise ValueError("worker count must be >= 1")
     _check_cap(ps, max_n)
     ws = workspace(ps)
     if ws.degrees is not None:
         return ws.degrees
     n = ps.n
+    workers = min(workers, n)
     if workers <= 1:
         rows = [_point_degree_row(ws, p) for p in range(n)]
     else:
@@ -383,16 +379,6 @@ def expected_degree_vector(
     vhat = tuple(Fraction(v, pg) for v in ving)
     ws.degrees = DegreeExpectation(pg=pg, ving_counts=ving, vhat=vhat, per_point=tuple(rows))
     return ws.degrees
-
-
-def total_edge_incidences(ps: PointSet, max_n: int | None = None) -> int:
-    """Sum over all plane graphs of their edge count (for the 2|E| identity)."""
-    _check_cap(ps, max_n)
-    ws = workspace(ps)
-    total = 0
-    for k in range(ws.m):
-        total += ws.count_independent(ws.full & ~(1 << k) & ~ws.cross[k])
-    return total
 
 
 def is_triangulation(ps: PointSet, g: PlaneGraph) -> bool:

@@ -276,14 +276,11 @@ def test_c14_worker_determinism(tmp_path, capsys):
     with criterion("C14"):
         pts = tmp_path / "ca6.pts"
         save_pts(gen_cap_with_apex(6), pts)
-        for subcommand in ("count", "degrees"):
-            outputs = []
-            for workers in (1, 2, 8):
-                out = tmp_path / f"{subcommand}-{workers}.json"
-                code = cli_main(
-                    [subcommand, str(pts), "--workers", str(workers), "--out", str(out)]
-                )
-                assert code == 0
-                outputs.append(out.read_bytes())
-            assert outputs[0] == outputs[1] == outputs[2], subcommand
+        outputs = []
+        for workers in (1, 2, 8):
+            out = tmp_path / f"degrees-{workers}.json"
+            code = cli_main(["degrees", str(pts), "--workers", str(workers), "--out", str(out)])
+            assert code == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
         capsys.readouterr()

@@ -8,7 +8,7 @@ import pytest
 
 import planegraphs
 from planegraphs import gen_cap_with_apex, gen_convex_chain, save_pts
-from planegraphs.cli import main
+from planegraphs.cli import build_parser, main
 
 
 @pytest.fixture
@@ -230,5 +230,20 @@ def test_console_script_entry_point(tmp_path):
 
 
 def test_run_config_rejects_bad_worker_count(tri_file, capsys):
-    assert run_cli("count", tri_file, "--workers", 0) == 2
+    assert run_cli("degrees", tri_file, "--workers", 0) == 2
     assert "worker count" in capsys.readouterr().err
+
+
+def test_workers_only_on_degrees():
+    parser = build_parser()
+    for argv in (
+        ["count", "x.pts"],
+        ["triangulations", "x.pts"],
+        ["charge-audit", "x.pts"],
+        ["verify", "x.pts"],
+        ["construction-report", "5"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([*argv, "--workers", "2"])
+        assert exc.value.code == 2, argv
+    assert parser.parse_args(["degrees", "x.pts", "--workers", "2"]).workers == 2

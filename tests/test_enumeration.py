@@ -16,7 +16,6 @@ from planegraphs import (
     gen_cap_with_apex,
     gen_convex_chain,
     is_triangulation,
-    total_edge_incidences,
 )
 from planegraphs import enumeration
 from planegraphs.crossings import structures
@@ -55,7 +54,7 @@ class TestEnumerate:
 
     def test_cap_refusal_mentions_estimate(self):
         ps = gen_convex_chain(6)
-        with pytest.raises(EnumerationLimitError, match="11.65"):
+        with pytest.raises(EnumerationLimitError, match="exceeds the cap"):
             enumerate_plane_graphs(ps, lambda g: None, max_n=5)
 
 
@@ -110,7 +109,9 @@ class TestDegreeVector:
             dv = expected_degree_vector(ps)
             assert sum(dv.vhat) == ps.n
             assert sum(dv.ving_counts) == ps.n * dv.pg
-            assert sum(i * v for i, v in enumerate(dv.ving_counts)) == 2 * total_edge_incidences(ps)
+            edges = []
+            enumerate_plane_graphs(ps, lambda g: edges.append(g.edge_count()))
+            assert sum(i * v for i, v in enumerate(dv.ving_counts)) == 2 * sum(edges)
 
     def test_matches_bruteforce(self, small_sets):
         for ps in small_sets:
@@ -141,6 +142,34 @@ class TestDegreeVector:
         pooled = expected_degree_vector(ps, workers=2)
         enumeration._workspace.cache_clear()  # count again, not from the cache
         assert pooled == expected_degree_vector(ps)
+
+    def test_pool_is_bounded_by_the_point_count(self, monkeypatch):
+        ps = gen_cap_with_apex(6)
+        serial = expected_degree_vector(ps)
+        requested = []
+
+        class InProcessPool:
+            # stands in for ProcessPoolExecutor: no process is started
+            def __init__(self, max_workers, initializer, initargs):
+                requested.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(enumeration, "_POOL_WS", None)
+        enumeration._workspace.cache_clear()
+        assert expected_degree_vector(ps, workers=10**6) == serial
+        assert requested == [ps.n]
+        with pytest.raises(ValueError, match="worker count"):
+            expected_degree_vector(ps, workers=0)
 
 
 class TestTriangulations:
