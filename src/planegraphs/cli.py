@@ -47,7 +47,10 @@ def _cap(args: argparse.Namespace, n: int) -> int:
     cap = args.max_n
     if cap is None:
         env = os.environ.get(ENV_MAX_N)
-        cap = int(env) if env else DEFAULT_MAX_N
+        try:
+            cap = int(env) if env else DEFAULT_MAX_N
+        except ValueError:
+            raise ValueError(f"{ENV_MAX_N} must be an integer, got {env!r}") from None
     return max(cap, n) if args.force else cap
 
 
@@ -206,6 +209,8 @@ def cmd_gen(args) -> int:
 
 def cmd_construction_report(args) -> int:
     n_max = args.n_max
+    if n_max < 3:
+        raise ValueError(f"n_max must be at least 3, got {n_max}")
     cap = _cap(args, n_max)
     ratio_rows = fn_ratio_table(n_max, max_n=cap)
     trend_rows = v0_trend_table(n_max, max_n=cap)

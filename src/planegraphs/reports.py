@@ -5,39 +5,28 @@ of the canonical input serialization, and the segment-indexing convention,
 and they contain nothing run-dependent (no timestamps, no worker counts), so
 identical inputs and flags produce byte-identical bytes.  Big counts are
 decimal strings, rationals are {"num", "den"} pairs; nothing is ever rounded.
+
+``dumps_json`` writes the text in one recursive pass over the payload,
+without a converted copy of it.  Its bytes are those of
+``json.dumps(indent=2, sort_keys=True)`` on the lossless form of the payload:
+keys become ``str(k)``, a Fraction a {"den", "num"} object of decimal
+strings, and an int of magnitude at least 2^53 a decimal string.  Each
+separator and indent goes out in one chunk with the scalar or bracket that
+follows it, as in the stdlib encoder, so the chunk list stays short.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
+from typing import Callable
 
 from . import __version__
 from .crossings import SEGMENT_INDEXING
 from .geometry import PointSet
 
-
-def frac_json(value: Fraction) -> dict:
-    return {"num": str(value.numerator), "den": str(value.denominator)}
-
-
-def jsonify(obj):
-    """Recursively convert report values to JSON-safe, lossless primitives."""
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, Fraction):
-        return frac_json(obj)
-    if isinstance(obj, int):
-        return obj if abs(obj) < 2**53 else str(obj)
-    if isinstance(obj, float):
-        return obj
-    if isinstance(obj, str):
-        return obj
-    if isinstance(obj, dict):
-        return {str(k): jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonify(v) for v in obj]
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+_EXACT = 2**53  # ints of at least this magnitude are written as decimal strings
 
 
 def envelope(subcommand: str, ps: PointSet | None) -> dict:
@@ -51,7 +40,61 @@ def envelope(subcommand: str, ps: PointSet | None) -> dict:
 
 
 def dumps_json(payload: dict) -> str:
-    return json.dumps(jsonify(payload), indent=2, sort_keys=True) + "\n"
+    """The canonical JSON text of `payload`, newline-terminated: the bytes of
+    ``json.dumps(..., indent=2, sort_keys=True)`` on its lossless form."""
+    chunks: list[str] = []
+    _write_json(payload, "", "\n", chunks.append)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _write_json(obj, lead: str, newline: str, out: Callable[[str], None]) -> None:
+    """Pass `lead` and then the JSON text of `obj` to `out`, with nested
+    lines starting at `newline` plus two spaces.  `lead` goes out in the same
+    chunk as a scalar or an opening bracket."""
+    if obj is None:
+        out(lead + "null")
+    elif obj is True:
+        out(lead + "true")
+    elif obj is False:
+        out(lead + "false")
+    elif isinstance(obj, Fraction):
+        inner = newline + "  "
+        out(f'{lead}{{{inner}"den": "{obj.denominator}",{inner}"num": "{obj.numerator}"{newline}}}')
+    elif isinstance(obj, int):
+        out(lead + (int.__repr__(obj) if -_EXACT < obj < _EXACT else f'"{obj}"'))
+    elif isinstance(obj, float):
+        out(lead + json.dumps(obj))
+    elif isinstance(obj, str):
+        out(lead + _encode_str(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out(lead + "{}")
+            return
+        inner = newline + "  "
+        comma = "," + inner
+        items = {str(k): v for k, v in obj.items()}
+        sep = lead + "{" + inner
+        for key in sorted(items):
+            _write_json(items[key], sep + _encode_str(key) + ": ", inner, out)
+            sep = comma
+        out(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out(lead + "[]")
+            return
+        inner = newline + "  "
+        comma = "," + inner
+        sep = lead + "[" + inner
+        for value in obj:
+            if type(value) is int and -_EXACT < value < _EXACT:
+                out(sep + int.__repr__(value))  # the bulk of list items, without a call
+            else:
+                _write_json(value, sep, inner, out)
+            sep = comma
+        out(newline + "]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def csv_header(subcommand: str, ps: PointSet | None) -> list[str]:

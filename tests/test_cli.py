@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import planegraphs
-from planegraphs import gen_cap_with_apex, gen_convex_chain, save_pts
+from planegraphs import enumeration, gen_cap_with_apex, gen_convex_chain, save_pts
 from planegraphs.cli import build_parser, main
 
 
@@ -61,6 +61,13 @@ class TestCount:
         assert run_cli("count", tri_file) == 2
         monkeypatch.setenv("PLANEGRAPH_MAX_N", "3")
         assert run_cli("count", tri_file) == 0
+
+    def test_bad_env_cap_names_the_variable(self, tri_file, capsys, monkeypatch):
+        monkeypatch.setenv("PLANEGRAPH_MAX_N", "abc")
+        assert run_cli("count", tri_file) == 2
+        assert capsys.readouterr().err == (
+            "error: PLANEGRAPH_MAX_N must be an integer, got 'abc'\n"
+        )
 
     def test_json_report(self, tri_file, tmp_path, capsys):
         out = tmp_path / "count.json"
@@ -165,16 +172,40 @@ class TestEmptyPointSet:
         assert payload["family_census"] == []
 
 
+def _frames_below() -> int:
+    """Python frames on the stack below the caller, the caller included."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
 def test_recursion_limit_is_a_clean_error(tmp_path, capsys):
-    # the triangulation walk recurses once per segment: m = 1035 here
-    pts = tmp_path / "chain46.pts"
-    save_pts(gen_convex_chain(46), pts)
-    assert run_cli("triangulations", pts, "--force") == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert [line for line in err.splitlines() if line.startswith("error:")] == [
-        "error: input too large (RecursionError: maximum recursion depth exceeded)"
-    ]
+    # On convex_chain(12) the counting kernel needs about 41 frames above
+    # its caller and the triangulation walk about 18, so a limit 28 frames
+    # above the test stops the first and not the second.
+    pts = tmp_path / "chain12.pts"
+    save_pts(gen_convex_chain(12), pts)
+    enumeration._workspace.cache_clear()  # no memo from an earlier test
+    for command in ("count", "triangulations"):
+        build_parser().parse_args([command, str(pts)])  # compile argparse's regexes
+    limit = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(_frames_below() + 28)
+        count_status = run_cli("count", pts)
+        count_io = capsys.readouterr()
+        tri_status = run_cli("triangulations", pts)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert count_status == 2
+    assert count_io.out == ""
+    assert "Traceback" not in count_io.err
+    errors = [line for line in count_io.err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith("error: input too large (RecursionError: ")
+    # the walk keeps its own stack: it finishes under the same limit
+    assert tri_status == 0
+    assert json.loads(capsys.readouterr().out)["count"] == "16796"  # Catalan(10)
 
 
 class TestGen:
@@ -211,6 +242,13 @@ class TestConstructionReport:
     def test_cap_exceeded(self, capsys):
         assert run_cli("construction-report", "7", "--max-n", "6") == 2
         assert "exceeds the cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_max", ["-2", "0", "1", "2"])
+    def test_rejects_sizes_below_three(self, n_max, capsys):
+        assert run_cli("construction-report", n_max) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: n_max must be at least 3, got {n_max}\n"
 
 
 def test_console_script_entry_point(tmp_path):

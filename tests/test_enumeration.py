@@ -15,6 +15,7 @@ from planegraphs import (
     expected_degree_vector,
     gen_cap_with_apex,
     gen_convex_chain,
+    gen_triangular_hull_random,
     is_triangulation,
 )
 from planegraphs import enumeration
@@ -212,6 +213,23 @@ class TestTriangulations:
             )
             got = {r.graph.edges for r in enumerate_triangulations(ps).records}
             assert got == expected
+
+    def test_report_order_is_the_scan_order_reversed(self, small_sets):
+        for ps in [*small_sets, gen_convex_chain(7), gen_cap_with_apex(7)]:
+            scanned = []
+            enumerate_plane_graphs(
+                ps, lambda g: scanned.append(g.edges) if is_triangulation(ps, g) else None
+            )
+            records = enumerate_triangulations(ps).records
+            assert [r.graph.edges for r in records] == scanned[::-1]
+
+    def test_dead_ends_are_not_records(self):
+        # The walk meets skipped segments that nothing chosen crosses (dead
+        # ends) only on larger sets: 40 times on this one.
+        ps = gen_triangular_hull_random(12, seed=1)
+        stats = enumerate_triangulations(ps)
+        assert stats.count == 15632
+        assert all(is_triangulation(ps, r.graph) for r in stats.records)
 
     def test_euler_face_count(self, small_sets):
         # |E| = 3n - 3 - h, hence 2n - 2 - h bounded (triangular) faces
