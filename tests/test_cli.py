@@ -181,8 +181,8 @@ def _frames_below() -> int:
 
 
 def test_recursion_limit_is_a_clean_error(tmp_path, capsys):
-    # On convex_chain(12) the counting kernel needs about 41 frames above
-    # its caller and the triangulation walk about 18, so a limit 28 frames
+    # On convex_chain(12) the counting kernel needs about 51 frames above
+    # its caller and the triangulation walk about 22, so a limit 28 frames
     # above the test stops the first and not the second.
     pts = tmp_path / "chain12.pts"
     save_pts(gen_convex_chain(12), pts)

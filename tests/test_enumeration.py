@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planegraphs import (
     EnumerationLimitError,
@@ -17,6 +19,7 @@ from planegraphs import (
     gen_convex_chain,
     gen_triangular_hull_random,
     is_triangulation,
+    validate_general_position,
 )
 from planegraphs import enumeration
 from planegraphs.crossings import structures
@@ -76,9 +79,18 @@ class TestCount:
         assert count_plane_graphs(ps) == count_plane_graphs_bruteforce(ps)
 
     def test_convex_recurrence_oracle(self):
-        oracle = convex_count_recurrence(9)
-        for m in range(3, 10):
-            assert count_plane_graphs(gen_convex_chain(m)) == oracle[m]
+        oracle = convex_count_recurrence(22)
+        for m in range(3, 23):
+            assert count_plane_graphs(gen_convex_chain(m), max_n=m) == oracle[m]
+
+    def test_convex_memo_stays_small(self):
+        # On a fixed segment order the leftover components of convex position
+        # repeat, so the memo hits: 7,104 entries on convex_chain(20), where a
+        # per-component pivot left 50,734.
+        ps = gen_convex_chain(20)
+        enumeration._workspace.cache_clear()
+        count_plane_graphs(ps, max_n=20)
+        assert len(enumeration.workspace(ps).memo) <= 10_000
 
     def test_cap_apex_product(self):
         assert count_plane_graphs(gen_cap_with_apex(5)) == 16 * count_plane_graphs(
@@ -171,6 +183,32 @@ class TestDegreeVector:
         assert requested == [ps.n]
         with pytest.raises(ValueError, match="worker count"):
             expected_degree_vector(ps, workers=0)
+
+
+@st.composite
+def relabelled_sets(draw):
+    """A general-position set of 6-8 points and the same set relabelled."""
+    pts = draw(
+        st.lists(
+            st.tuples(st.integers(0, 40), st.integers(0, 40)),
+            min_size=6,
+            max_size=8,
+            unique=True,
+        ).filter(lambda c: not validate_general_position(PointSet.from_coords(c, validate=False)))
+    )
+    perm = draw(st.permutations(range(len(pts))))
+    return PointSet.from_coords(pts), PointSet.from_coords([pts[i] for i in perm]), perm
+
+
+@given(relabelled_sets())
+@settings(max_examples=25, deadline=None)
+def test_counts_do_not_depend_on_labels(case):
+    # Relabelling the points reorders the segments, and with them the ties of
+    # the counting kernel's order; no count may change.
+    ps, relabelled, perm = case
+    dv, dv_relabelled = expected_degree_vector(ps), expected_degree_vector(relabelled)
+    assert dv_relabelled.pg == dv.pg
+    assert dv_relabelled.per_point == tuple(dv.per_point[i] for i in perm)
 
 
 class TestTriangulations:
