@@ -180,19 +180,7 @@ def cmd_verify(args) -> int:
     ps = load_pts(args.pts)
     claims = args.claims.split(",") if args.claims else None
     reports = run_claims(ps, claims, max_n=_cap(args, ps.n))
-    payload = envelope("verify", ps) | {
-        "reports": [
-            {
-                "claim": r.claim,
-                "pointset": r.pointset,
-                "status": r.status,
-                "margin": r.margin,
-                "witness": r.witness,
-                "details": r.details,
-            }
-            for r in reports
-        ]
-    }
+    payload = envelope("verify", ps) | {"reports": [vars(r) for r in reports]}
     _emit(dumps_json(payload), args.out)
     return 1 if any(r.status == "violated" for r in reports) else 0
 

@@ -23,7 +23,7 @@ from .geometry import (
     general_position_violations,
     segments_cross,
 )
-from .verify import HOLDS, VIOLATED, VerificationReport, _descriptor
+from .verify import VerificationReport, _descriptor, _verdict
 
 
 @dataclass(frozen=True)
@@ -147,14 +147,10 @@ def verify_product_law(n: int, max_n: int | None = None) -> VerificationReport:
     lhs = count_plane_graphs(ps, max_n=max_n)
     chain_count = count_plane_graphs(gen_convex_chain(n - 1), max_n=max_n)
     rhs = (1 << (n - 1)) * chain_count
-    ok = lhs == rhs
-    return VerificationReport(
-        claim="cap_apex_product_law",
-        pointset=_descriptor(ps),
-        status=HOLDS if ok else VIOLATED,
-        margin=Fraction(lhs - rhs),
-        witness=None if ok else {"lhs": str(lhs), "rhs": str(rhs)},
-        details={"pg": lhs, "chain_count": chain_count, "free_choices": n - 1},
+    return _verdict(
+        "cap_apex_product_law", _descriptor(ps), lhs == rhs, Fraction(lhs - rhs),
+        {"lhs": str(lhs), "rhs": str(rhs)},
+        {"pg": lhs, "chain_count": chain_count, "free_choices": n - 1},
     )
 
 

@@ -6,10 +6,19 @@ visibility lemma, whose minimum is the smallest visibility in any point's
 family census, come from the counting DP's degree rows.  The triangulation
 lemmas scan every triangulation, and so does the per-graph charge cap,
 because a graph's charge is at most that of any triangulation containing
-it.  Each verifier returns a :class:`VerificationReport` with an exact
-rational margin.  A "violated" report always carries a reproducible witness.  Claims whose hypotheses the
-input does not satisfy come back "not-applicable" with the observed data in
-the details, so near-miss behaviour outside the hypotheses stays visible.
+it.
+
+Each verifier returns :class:`VerificationReport` values with an exact
+rational margin, and :func:`_verdict` alone turns a comparison into one:
+it sets the status, keeps the witness only on "violated", and drops margin
+and witness when the claim does not apply.  A "violated" report always
+carries a reproducible witness.  Claims whose hypotheses the input does not
+satisfy come back "not-applicable" with the observed data in the details,
+so near-miss behaviour outside the hypotheses stays visible.  The v0 bound,
+the visibility lemma, the triangulation lemmas and the charge cap assume a
+triangular hull and n >= 5.  Each previously known lower bound c n on a
+degree count needs a set on which one of the degrees it counts can occur,
+so it applies when n exceeds the smallest such degree.
 
 Comparisons against irrational bounds (n / sqrt(pi i), ln 2, the Robbins
 bounds) go through the certified rational enclosures of
@@ -66,6 +75,25 @@ def _descriptor(ps: PointSet) -> str:
     return f"n={ps.n} hull={hull} sha256={ps.sha256()[:12]}"
 
 
+def _verdict(
+    claim: str, pointset: str, ok: bool | None, margin: Fraction | None = None,
+    witness: dict | None = None, details: dict | None = None,
+) -> VerificationReport:
+    """The one place a comparison becomes a report: `ok` None means the claim
+    does not apply (no margin, no witness); otherwise the witness is kept
+    only on a violation."""
+    if ok is None:
+        status, margin, witness = NOT_APPLICABLE, None, None
+    else:
+        status, witness = (HOLDS, None) if ok else (VIOLATED, witness)
+    return VerificationReport(claim, pointset, status, margin, witness, details or {})
+
+
+def _paper_hypotheses(ps: PointSet) -> bool:
+    """The hypotheses of the v0 bound and the plane-graph lemmas."""
+    return ps.n >= 5 and is_triangular_hull(ps)
+
+
 # ---------------------------------------------------------------------------
 # Expected-degree bounds
 # ---------------------------------------------------------------------------
@@ -76,29 +104,16 @@ def verify_v0_upper(ps: PointSet, max_n: int | None = None) -> VerificationRepor
     dv = expected_degree_vector(ps, max_n=max_n)
     vhat0 = dv.vhat[0] if ps.n else Fraction(0)
     bound = Fraction(11 * ps.n, 112)
-    details = {
-        "vhat0": vhat0,
-        "bound": bound,
-        # 11/112 < 1/10.18 is a single exact comparison: 11*1018 < 112*100.
-        "bound_strictly_below_n_over_10_18": 11 * 1018 < 112 * 100,
-    }
-    if ps.n < 5 or not is_triangular_hull(ps):
-        return VerificationReport(
-            claim="v0_upper",
-            pointset=_descriptor(ps),
-            status=NOT_APPLICABLE,
-            details=details,
-        )
     margin = bound - vhat0
-    status = HOLDS if margin > 0 else VIOLATED
-    witness = None if status == HOLDS else {"vhat0": str(vhat0), "bound": str(bound)}
-    return VerificationReport(
-        claim="v0_upper",
-        pointset=_descriptor(ps),
-        status=status,
-        margin=margin,
-        witness=witness,
-        details=details,
+    return _verdict(
+        "v0_upper", _descriptor(ps), margin > 0 if _paper_hypotheses(ps) else None, margin,
+        {"vhat0": str(vhat0), "bound": str(bound)},
+        {
+            "vhat0": vhat0,
+            "bound": bound,
+            # 11/112 < 1/10.18 is a single exact comparison: 11*1018 < 112*100.
+            "bound_strictly_below_n_over_10_18": 11 * 1018 < 112 * 100,
+        },
     )
 
 
@@ -112,6 +127,7 @@ def verify_vi_upper(
     if i_max > n - 1:
         raise ValueError(f"i_max={i_max} exceeds the maximum degree {n - 1}")
     dv = expected_degree_vector(ps, max_n=max_n)
+    desc = _descriptor(ps)
     reports = []
     for i in range(1, i_max + 1):
         vhat = dv.vhat[i]
@@ -119,57 +135,46 @@ def verify_vi_upper(
         lhs_hi = vhat * vhat * PI_HI * i
         lhs_lo = vhat * vhat * PI_LO * i
         rhs = Fraction(n * n)
-        if lhs_hi < rhs:
-            status, margin = HOLDS, rhs - lhs_hi
-        elif lhs_lo >= rhs:
-            status, margin = VIOLATED, rhs - lhs_lo
-        else:
+        if lhs_lo < rhs <= lhs_hi:
             raise ArithmeticError(f"pi enclosure too coarse at i={i}")
-        reports.append(
-            VerificationReport(
-                claim=f"vi_upper:i={i}",
-                pointset=_descriptor(ps),
-                status=status,
-                margin=margin,
-                witness=None if status == HOLDS else {"vhat_i": str(vhat), "i": i},
-                details={"vhat_i": vhat, "margin_domain": "squared"},
-            )
-        )
+        ok = lhs_hi < rhs
+        reports.append(_verdict(
+            f"vi_upper:i={i}", desc, ok, rhs - (lhs_hi if ok else lhs_lo),
+            {"vhat_i": str(vhat), "i": i}, {"vhat_i": vhat, "margin_domain": "squared"},
+        ))
     return reports
 
 
 def verify_previous_lower(
     ps: PointSet, max_n: int | None = None
 ) -> list[VerificationReport]:
-    """The four previously-known lower bounds on expected degree counts."""
+    """The four previously-known lower bounds on expected degree counts.
+
+    A bound c n > 0 on the expected number of vertices of the degrees it
+    counts is false on a set where none of those degrees can occur, so each
+    applies only when n exceeds the smallest degree it counts.
+    """
     n = ps.n
-    dv = expected_degree_vector(ps, max_n=max_n)
-    vhat = dv.vhat
+    desc = _descriptor(ps)
+    vhat = expected_degree_vector(ps, max_n=max_n).vhat
 
     def v(i: int) -> Fraction:
         return vhat[i] if i < n else Fraction(0)
 
-    checks = [
-        ("prior_v0_lower", v(0), Fraction(n, 3207), True),
-        ("prior_v1_lower", v(1), Fraction(3 * n, 1024), False),
-        ("prior_v2_lower", v(2), Fraction(33 * n, 2048), False),
-        ("prior_v2v3_lower", v(2) + v(3), Fraction(n, 24), False),
+    checks = [  # claim, smallest degree counted, value, bound, strict
+        ("prior_v0_lower", 0, v(0), Fraction(n, 3207), True),
+        ("prior_v1_lower", 1, v(1), Fraction(3 * n, 1024), False),
+        ("prior_v2_lower", 2, v(2), Fraction(33 * n, 2048), False),
+        ("prior_v2v3_lower", 2, v(2) + v(3), Fraction(n, 24), False),
     ]
-    reports = []
-    for claim, value, bound, strict in checks:
-        margin = value - bound
-        ok = margin > 0 if strict else margin >= 0
-        reports.append(
-            VerificationReport(
-                claim=claim,
-                pointset=_descriptor(ps),
-                status=HOLDS if ok else VIOLATED,
-                margin=margin,
-                witness=None if ok else {"value": str(value), "bound": str(bound)},
-                details={"value": value, "bound": bound, "strict": strict},
-            )
+    return [
+        _verdict(
+            claim, desc, None if n <= degree else (value > bound if strict else value >= bound),
+            value - bound, {"value": str(value), "bound": str(bound)},
+            {"value": value, "bound": bound, "strict": strict},
         )
-    return reports
+        for claim, degree, value, bound, strict in checks
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +193,7 @@ def verify_visibility_lemma(ps: PointSet, max_n: int | None = None) -> Verificat
     (the observed minimum is still recorded).
     """
     dv = expected_degree_vector(ps, max_n=max_n)
-    strict = ps.n >= 5 and is_triangular_hull(ps)
+    strict = _paper_hypotheses(ps)
     censuses = [census_from_degree_row(row) for row in dv.per_point]
     min_vis = min((j for census in censuses for j in census), default=None)
     details = {
@@ -198,20 +203,11 @@ def verify_visibility_lemma(ps: PointSet, max_n: int | None = None) -> Verificat
         "strict_mode": strict,
     }
     if not strict:
-        return VerificationReport(
-            claim="visibility_lemma",
-            pointset=_descriptor(ps),
-            status=NOT_APPLICABLE,
-            details=details,
-        )
-    violated = min_vis is not None and min_vis < 3
-    return VerificationReport(
-        claim="visibility_lemma",
-        pointset=_descriptor(ps),
-        status=VIOLATED if violated else HOLDS,
-        margin=Fraction(min_vis - 3) if min_vis is not None else None,
-        witness=_visibility_witness(ps, censuses, min_vis) if violated else None,
-        details=details,
+        return _verdict("visibility_lemma", _descriptor(ps), None, details=details)
+    ok = min_vis >= 3  # n >= 5, so every census is non-empty
+    witness = None if ok else _visibility_witness(ps, censuses, min_vis)
+    return _verdict(
+        "visibility_lemma", _descriptor(ps), ok, Fraction(min_vis - 3), witness, details
     )
 
 
@@ -243,13 +239,9 @@ def verify_triangulation_degree_lemmas(
     sub-claim that at most one hull vertex of a triangulation has degree 3."""
     n = ps.n
     desc = _descriptor(ps)
-    applicable = n >= 5 and is_triangular_hull(ps)
     claims = ("tri_deg3_bound", "tri_deg4_bound", "tri_hull_deg3_count")
-    if not applicable:
-        return [
-            VerificationReport(claim=c, pointset=desc, status=NOT_APPLICABLE)
-            for c in claims
-        ]
+    if not _paper_hypotheses(ps):
+        return [_verdict(c, desc, None) for c in claims]
     ws = workspace(ps)
     hull = convex_hull(ps)
     inc = ws.table.incident_masks
@@ -277,21 +269,12 @@ def verify_triangulation_degree_lemmas(
                     "hull_deg3_count": hull_deg3,
                 }
 
-    reports = []
-    for claim in claims:
-        margin = margins[claim]
-        violated = margin is not None and margin < 0
-        reports.append(
-            VerificationReport(
-                claim=claim,
-                pointset=desc,
-                status=VIOLATED if violated else HOLDS,
-                margin=margin,
-                witness=witnesses[claim] if violated else None,
-                details={"triangulations_scanned": stats.count},
-            )
-        )
-    return reports
+    # n >= 5 points have a triangulation, so every margin is set
+    return [
+        _verdict(c, desc, margins[c] >= 0, margins[c], witnesses[c],
+                 {"triangulations_scanned": stats.count})
+        for c in claims
+    ]
 
 
 def verify_graph_charge_cap(ps: PointSet, max_n: int | None = None) -> VerificationReport:
@@ -305,33 +288,25 @@ def verify_graph_charge_cap(ps: PointSet, max_n: int | None = None) -> Verificat
     """
     n = ps.n
     desc = _descriptor(ps)
-    if n < 5 or not is_triangular_hull(ps):
-        return VerificationReport(
-            claim="graph_charge_cap", pointset=desc, status=NOT_APPLICABLE
-        )
+    if not _paper_hypotheses(ps):
+        return _verdict("graph_charge_cap", desc, None)
     stats = enumerate_triangulations(ps, max_n=max_n)
     top = n - 1
-    cap_num = 11 * n - 6  # cap = cap_num / 112
     max_scaled, witness_graph = -1, None
     for rec in stats.records:
         scaled = sum(count << (top - d) for d, count in enumerate(rec.histogram))
         if scaled > max_scaled:
             max_scaled, witness_graph = scaled, rec.graph
     max_charge = Fraction(max_scaled, 1 << top)
-    margin = Fraction(cap_num, 112) - max_charge
-    violated = margin < 0
-    return VerificationReport(
-        claim="graph_charge_cap",
-        pointset=desc,
-        status=VIOLATED if violated else HOLDS,
-        margin=margin,
-        witness={"graph": witness_graph.to_hex(), "charge": str(max_charge)}
-        if violated
-        else None,
-        details={
+    cap = Fraction(11 * n - 6, 112)
+    margin = cap - max_charge
+    return _verdict(
+        "graph_charge_cap", desc, margin >= 0, margin,
+        {"graph": witness_graph.to_hex(), "charge": str(max_charge)},
+        {
             "graphs_scanned": count_plane_graphs(ps, max_n=max_n),
             "max_charge": max_charge,
-            "cap": Fraction(cap_num, 112),
+            "cap": cap,
             "potential_monotonicity": True,
         },
     )
@@ -356,56 +331,31 @@ def verify_zero_ving_recurrence(
     hull = set(convex_hull(ps)) if n >= 3 else set(range(n))
     internal = [p for p in range(n) if p not in hull]
 
-    reports = []
-
     total_zero = dv.ving_counts[0] if n else 0
     rhs_general = sum(drop_counts.values())
-    margin_a = Fraction(total_zero - rhs_general)
-    reports.append(
-        VerificationReport(
-            claim="zero_ving_identity",
-            pointset=desc,
-            status=HOLDS if margin_a == 0 else VIOLATED,
-            margin=margin_a,
-            witness=None
-            if margin_a == 0
-            else {"lhs": str(total_zero), "rhs": str(rhs_general)},
-            details={"lhs": total_zero, "rhs": rhs_general},
-        )
-    )
-
     internal_zero = sum(dv.per_point[p][0] for p in internal)
     rhs_internal = sum(drop_counts[p] for p in internal)
-    margin_b = Fraction(internal_zero - rhs_internal)
-    reports.append(
-        VerificationReport(
-            claim="zero_ving_identity_internal",
-            pointset=desc,
-            status=HOLDS if margin_b == 0 else VIOLATED,
-            margin=margin_b,
-            witness=None
-            if margin_b == 0
-            else {"lhs": str(internal_zero), "rhs": str(rhs_internal)},
-            details={"lhs": internal_zero, "rhs": rhs_internal, "internal_points": internal},
-        )
-    )
-
     # pg >= (n / vhat_0) * min_q pg(P minus q)  <=>  ving_0 >= n * min_q
-    min_drop = min(drop_counts.values(), default=0)
-    margin_c = Fraction(total_zero - n * min_drop)
-    reports.append(
-        VerificationReport(
-            claim="zero_ving_growth_consequence",
-            pointset=desc,
-            status=HOLDS if margin_c >= 0 else VIOLATED,
-            margin=margin_c,
-            witness=None
-            if margin_c >= 0
-            else {"zero_vings": str(total_zero), "n_times_min_drop": str(n * min_drop)},
-            details={"zero_vings": total_zero, "n_times_min_drop": n * min_drop},
-        )
-    )
-    return reports
+    n_min_drop = n * min(drop_counts.values(), default=0)
+    return [
+        _verdict(
+            "zero_ving_identity", desc, total_zero == rhs_general,
+            Fraction(total_zero - rhs_general), {"lhs": str(total_zero), "rhs": str(rhs_general)},
+            {"lhs": total_zero, "rhs": rhs_general},
+        ),
+        _verdict(
+            "zero_ving_identity_internal", desc, internal_zero == rhs_internal,
+            Fraction(internal_zero - rhs_internal),
+            {"lhs": str(internal_zero), "rhs": str(rhs_internal)},
+            {"lhs": internal_zero, "rhs": rhs_internal, "internal_points": internal},
+        ),
+        _verdict(
+            "zero_ving_growth_consequence", desc, total_zero >= n_min_drop,
+            Fraction(total_zero - n_min_drop),
+            {"zero_vings": str(total_zero), "n_times_min_drop": str(n_min_drop)},
+            {"zero_vings": total_zero, "n_times_min_drop": n_min_drop},
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -413,61 +363,56 @@ def verify_zero_ving_recurrence(
 # ---------------------------------------------------------------------------
 
 
+def _sweep(claim: str, steps, details: dict) -> VerificationReport:
+    """One report for a sweep whose `steps` yield (margin, witness or None),
+    the witness built only on a failing step: the smallest margin and the
+    first witness."""
+    margin = witness = None
+    for step_margin, step_witness in steps:
+        if margin is None or step_margin < margin:
+            margin = step_margin
+        if witness is None:
+            witness = step_witness
+    return _verdict(claim, "-", witness is None, margin, witness, details)
+
+
 def harmonic_residual_sweep(m_max: int, shift: int = 220) -> VerificationReport:
     """0 <= eps_m <= 1/(8 m^2) for every m <= m_max (incremental harmonic sums)."""
-    one = 1 << shift
-    h_lo = 0
-    h_hi = 0
-    min_low = None   # min eps_lo (must stay >= 0)
-    min_high = None  # min of 1/(8 m^2) - eps_hi (must stay >= 0)
-    witness = None
-    for m in range(1, m_max + 1):
-        h_lo += one // m
-        h_hi += -((-one) // m)
-        ln_lo, ln_hi = log_interval(m)
-        half = Fraction(1, 2 * m)
-        eps_lo = ln_lo + GAMMA[0] + half - Fraction(h_hi, one)
-        eps_hi = ln_hi + GAMMA[1] + half - Fraction(h_lo, one)
-        head = Fraction(1, 8 * m * m) - eps_hi
-        if min_low is None or eps_lo < min_low:
-            min_low = eps_lo
-        if min_high is None or head < min_high:
-            min_high = head
-        if (eps_lo < 0 or head < 0) and witness is None:
-            witness = {"m": m, "eps_lo": str(eps_lo), "eps_hi": str(eps_hi)}
-    margin = min(min_low, min_high) if min_low is not None else None
-    return VerificationReport(
-        claim="harmonic_residual_bounds",
-        pointset="-",
-        status=VIOLATED if witness else HOLDS,
-        margin=margin,
-        witness=witness,
-        details={"m_max": m_max},
-    )
+
+    def steps():
+        one = 1 << shift
+        h_lo = h_hi = 0
+        for m in range(1, m_max + 1):
+            h_lo += one // m
+            h_hi += -((-one) // m)
+            ln_lo, ln_hi = log_interval(m)
+            half = Fraction(1, 2 * m)
+            eps_lo = ln_lo + GAMMA[0] + half - Fraction(h_hi, one)
+            eps_hi = ln_hi + GAMMA[1] + half - Fraction(h_lo, one)
+            # both eps_lo and 1/(8 m^2) - eps_hi must stay >= 0
+            margin = min(eps_lo, Fraction(1, 8 * m * m) - eps_hi)
+            yield margin, (
+                {"m": m, "eps_lo": str(eps_lo), "eps_hi": str(eps_hi)} if margin < 0 else None
+            )
+
+    return _sweep("harmonic_residual_bounds", steps(), {"m_max": m_max})
 
 
 def harmonic_gap_sweep(i_max: int, shift: int = 220) -> VerificationReport:
     """H_{2i} - H_i < ln 2 for every i <= i_max."""
-    one = 1 << shift
-    ln2_lo, _ = ln2_interval()
-    gap_hi = 0  # certified upper bound of (H_2i - H_i) * 2^shift
-    min_margin = None
-    witness = None
-    for i in range(1, i_max + 1):
-        gap_hi += -((-one) // (2 * i - 1)) - ((-one) // (2 * i)) - one // i
-        margin = ln2_lo - Fraction(gap_hi, one)
-        if min_margin is None or margin < min_margin:
-            min_margin = margin
-        if margin <= 0 and witness is None:
-            witness = {"i": i, "gap_hi": str(Fraction(gap_hi, one))}
-    return VerificationReport(
-        claim="harmonic_gap_ln2",
-        pointset="-",
-        status=VIOLATED if witness else HOLDS,
-        margin=min_margin,
-        witness=witness,
-        details={"i_max": i_max},
-    )
+
+    def steps():
+        one = 1 << shift
+        ln2_lo, _ = ln2_interval()
+        gap_hi = 0  # certified upper bound of (H_2i - H_i) * 2^shift
+        for i in range(1, i_max + 1):
+            gap_hi += -((-one) // (2 * i - 1)) - ((-one) // (2 * i)) - one // i
+            margin = ln2_lo - Fraction(gap_hi, one)
+            yield margin, (
+                {"i": i, "gap_hi": str(Fraction(gap_hi, one))} if margin <= 0 else None
+            )
+
+    return _sweep("harmonic_gap_ln2", steps(), {"i_max": i_max})
 
 
 def _robbins_margins(m: int, lnfact: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
@@ -493,28 +438,18 @@ def _robbins_margins(m: int, lnfact: tuple[Fraction, Fraction]) -> tuple[Fractio
 
 def stirling_sweep(m_max: int = 500) -> VerificationReport:
     """Robbins bounds for every m <= m_max, with an incremental ln m! enclosure."""
-    lf_lo = Fraction(0)
-    lf_hi = Fraction(0)
-    min_margin = None
-    witness = None
-    for m in range(1, m_max + 1):
-        if m > 1:
-            k_lo, k_hi = log_interval(m)
-            lf_lo += k_lo
-            lf_hi += k_hi
-        margin = min(_robbins_margins(m, (lf_lo, lf_hi)))
-        if min_margin is None or margin < min_margin:
-            min_margin = margin
-        if margin <= 0 and witness is None:
-            witness = {"m": m}
-    return VerificationReport(
-        claim="stirling_robbins_bounds",
-        pointset="-",
-        status=VIOLATED if witness else HOLDS,
-        margin=min_margin,
-        witness=witness,
-        details={"m_max": m_max},
-    )
+
+    def steps():
+        lf_lo = lf_hi = Fraction(0)
+        for m in range(1, m_max + 1):
+            if m > 1:
+                k_lo, k_hi = log_interval(m)
+                lf_lo += k_lo
+                lf_hi += k_hi
+            margin = min(_robbins_margins(m, (lf_lo, lf_hi)))
+            yield margin, ({"m": m} if margin <= 0 else None)
+
+    return _sweep("stirling_robbins_bounds", steps(), {"m_max": m_max})
 
 
 def central_binomial_sweep(i_max: int) -> VerificationReport:
@@ -534,13 +469,9 @@ def central_binomial_sweep(i_max: int) -> VerificationReport:
             witness = {"i": i}
         if i == i_max:
             last_margin = Fraction(rhs - lhs, rhs)
-    return VerificationReport(
-        claim="central_binomial_bound",
-        pointset="-",
-        status=VIOLATED if witness else HOLDS,
-        margin=last_margin,
-        witness=witness,
-        details={"i_max": i_max, "margin_domain": "squared, relative, at i_max"},
+    return _verdict(
+        "central_binomial_bound", "-", witness is None, last_margin, witness,
+        {"i_max": i_max, "margin_domain": "squared, relative, at i_max"},
     )
 
 
@@ -553,13 +484,7 @@ def ving_charge_argmax_sweep(i_max: int = 64) -> VerificationReport:
         except AssertionError as exc:
             witness = {"i": i, "error": str(exc)}
             break
-    return VerificationReport(
-        claim="ving_charge_argmax",
-        pointset="-",
-        status=VIOLATED if witness else HOLDS,
-        witness=witness,
-        details={"i_max": i_max},
-    )
+    return _verdict("ving_charge_argmax", "-", witness is None, None, witness, {"i_max": i_max})
 
 
 # ---------------------------------------------------------------------------

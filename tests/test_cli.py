@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -140,6 +141,28 @@ class TestVerify:
     def test_unknown_claim(self, tri_file, capsys):
         assert run_cli("verify", tri_file, "--claims", "bogus") == 2
 
+    # Whole-report digests: any change to a status, margin, witness, detail
+    # or key of any claim shows here.  cap_with_apex 6 asserts every claim,
+    # convex_chain 5 takes the not-applicable paths.
+    @pytest.mark.parametrize(
+        "gen_args, sha256",
+        [
+            (("cap_with_apex", 6),
+             "ee4a26126def4975e4e1879bb5695ac34a3e94f9e5af672fe0483ffb39dd9504"),
+            (("convex_chain", 5),
+             "5fd8970ddb4514cd7affb70e4640a252862d3ef21b56220f9225bfe5884193f1"),
+            (("triangular_hull_random", 7, "--seed", 1),
+             "9af8678b9769f2692992c955fec4a3de1f87598de3fba545c5e8d52be302177f"),
+        ],
+        ids=["cap_apex6", "convex5", "random7_seed1"],
+    )
+    def test_report_bytes_pinned(self, gen_args, sha256, tmp_path, capsys):
+        pts = tmp_path / "in.pts"
+        assert run_cli("gen", *gen_args, "-o", pts) == 0
+        assert run_cli("verify", pts) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == sha256
+
 
 class TestEmptyPointSet:
     @pytest.fixture
@@ -148,19 +171,28 @@ class TestEmptyPointSet:
         path.write_text("0\n")
         return path
 
-    def test_verify_reports_every_claim(self, empty_file, capsys):
-        # the strict prior v0 bound 0 > 0 fails; everything else holds or
-        # is not applicable
-        assert run_cli("verify", empty_file) == 1
-        reports = json.loads(capsys.readouterr().out)["reports"]
-        violated = [r for r in reports if r["status"] == "violated"]
-        assert [(r["claim"], r["witness"]) for r in violated] == [
-            ("prior_v0_lower", {"value": "0", "bound": "0"})
-        ]
-        statuses = {r["claim"]: r["status"] for r in reports}
-        assert statuses["v0_upper"] == statuses["graph_charge_cap"] == "not-applicable"
-        assert statuses["zero_ving_identity"] == "holds"
-        assert statuses["zero_ving_growth_consequence"] == "holds"
+    def test_verify_reports_every_claim(self, empty_file, tmp_path, capsys):
+        # A prior lower bound c n > 0 applies only where a degree it counts
+        # can occur (n above the smallest one), so on 0, 1 and 2 points the
+        # others are not applicable; every claim holds or is not applicable.
+        one, two = tmp_path / "one.pts", tmp_path / "two.pts"
+        one.write_text("1\n0 0\n")
+        two.write_text("2\n0 0\n1 3\n")
+        applicable = [set(), {"prior_v0_lower"}, {"prior_v0_lower", "prior_v1_lower"}]
+        for n, path in enumerate((empty_file, one, two)):
+            assert run_cli("verify", path) == 0, n
+            reports = json.loads(capsys.readouterr().out)["reports"]
+            statuses = {r["claim"]: r["status"] for r in reports}
+            assert "violated" not in statuses.values(), n
+            prior = {c: s for c, s in statuses.items() if c.startswith("prior_")}
+            assert len(prior) == 4
+            assert {c for c, s in prior.items() if s == "holds"} == applicable[n]
+            assert {c for c, s in prior.items() if s == "not-applicable"} == (
+                set(prior) - applicable[n]
+            )
+            assert statuses["v0_upper"] == statuses["graph_charge_cap"] == "not-applicable"
+            assert statuses["zero_ving_identity"] == "holds"
+            assert statuses["zero_ving_growth_consequence"] == "holds"
 
     def test_charge_audit(self, empty_file, capsys):
         assert run_cli("charge-audit", empty_file) == 0

@@ -7,7 +7,8 @@ hypotheses.  Each witness is then replayed with a geometric oracle built
 from `segments_cross` on the coordinates.  The oracle never reads the
 crossing bit-vectors, which feed both `visibility` and the verifiers.  The
 verifiers that read expected-degree statistics are fed a tampered
-`DegreeExpectation`, and the product law a miscounted pg.
+`DegreeExpectation`, the product law a miscounted pg, and each analytic
+sweep a perturbed enclosure or bound.
 
 The verifiers read their answers off the counting DP and the
 triangulations; a walk over every plane graph of three 5-point sets is the
@@ -20,6 +21,7 @@ from fractions import Fraction
 
 import pytest
 
+import planegraphs.certified as certified_mod
 import planegraphs.constructions as constructions_mod
 import planegraphs.verify as verify_mod
 from planegraphs import (
@@ -45,7 +47,16 @@ from planegraphs import (
     verify_zero_ving_recurrence,
     visibility,
 )
-from planegraphs.verify import HOLDS, NOT_APPLICABLE, VIOLATED
+from planegraphs.verify import (
+    HOLDS,
+    NOT_APPLICABLE,
+    VIOLATED,
+    central_binomial_sweep,
+    harmonic_gap_sweep,
+    harmonic_residual_sweep,
+    stirling_sweep,
+    ving_charge_argmax_sweep,
+)
 
 
 def decode(edges: int, n: int) -> list[tuple[int, int]]:
@@ -199,6 +210,58 @@ def test_product_law_flags_a_miscount(monkeypatch):
     report = verify_product_law(6)
     assert report.status == VIOLATED
     assert report.witness == {"lhs": "11265", "rhs": "11264"}
+
+
+# The analytic sweeps: each is fed one perturbed enclosure or bound, and
+# must name the first failing index.
+
+
+def test_harmonic_residual_flags_a_shifted_gamma(monkeypatch):
+    lo, hi = verify_mod.GAMMA
+    monkeypatch.setattr(verify_mod, "GAMMA", (lo - 1, hi - 1))
+    report = harmonic_residual_sweep(10)
+    assert report.status == VIOLATED
+    assert report.witness["m"] == 1
+    assert report.margin < 0
+
+
+def test_harmonic_gap_flags_ln2_at_one_half(monkeypatch):
+    # H_2 - H_1 = 1/2 exactly, so a margin of 0 must already fail
+    half = Fraction(1, 2)
+    monkeypatch.setattr(verify_mod, "ln2_interval", lambda: (half, half))
+    report = harmonic_gap_sweep(10)
+    assert report.status == VIOLATED
+    assert report.witness == {"i": 1, "gap_hi": "1/2"}
+
+
+def test_stirling_flags_pi_at_four(monkeypatch):
+    four = Fraction(4)
+    monkeypatch.setattr(certified_mod, "pi_interval", lambda: (four, four))
+    report = stirling_sweep(10)
+    assert report.status == VIOLATED
+    assert report.witness == {"m": 1}
+
+
+def test_central_binomial_flags_pi_hi_at_four(monkeypatch):
+    # C(2, 1)^2 * 1 * 4 = 2^4: the strict bound fails at i = 1
+    monkeypatch.setattr(verify_mod, "PI_HI", Fraction(4))
+    report = central_binomial_sweep(10)
+    assert report.status == VIOLATED
+    assert report.witness == {"i": 1}
+
+
+def test_charge_argmax_flags_a_failing_profile(monkeypatch):
+    real = verify_mod.max_family_charge
+
+    def broken(i):
+        if i == 3:
+            raise AssertionError("unexpected charge maximum for i=3: [4]")
+        return real(i)
+
+    monkeypatch.setattr(verify_mod, "max_family_charge", broken)
+    report = ving_charge_argmax_sweep(5)
+    assert report.status == VIOLATED
+    assert report.witness == {"i": 3, "error": "unexpected charge maximum for i=3: [4]"}
 
 
 @pytest.mark.parametrize(
