@@ -192,6 +192,11 @@ def charge_audit(ps: PointSet, max_n: int | None = None) -> dict:
     The scan is checked against the DP on the way: it visits pg(P) graphs,
     and their total charge equals the number of 0-vings.  Each point's
     family sizes sum to pg(P).
+
+    A graph's charge depends only on its blocked mask, and a segment that
+    crosses nothing (every hull edge, at least) never changes that mask, so
+    the masks repeat: with f such segments there are at most pg / 2^f of
+    them.  Each charge is computed once per distinct mask.
     """
     dv = expected_degree_vector(ps, max_n=max_n)
     zero_vings = dv.ving_counts[0] if ps.n else 0
@@ -201,13 +206,16 @@ def charge_audit(ps: PointSet, max_n: int | None = None) -> dict:
 
     per_graph: list[dict] = []
     total_num = 0
+    charges: dict[int, tuple[int, int, int]] = {}  # blocked -> (scaled, num, exp)
 
     def scan(edges: int, blocked: int) -> None:
         nonlocal total_num
-        num = _scaled_charge(inc, blocked, top)
-        total_num += num
-        num, exp = _dyadic_pair(num, top)
-        per_graph.append({"graph": f"{edges:x}", "charge_numerator": num, "charge_exponent": exp})
+        charge = charges.get(blocked)
+        if charge is None:
+            scaled = _scaled_charge(inc, blocked, top)
+            charge = charges[blocked] = (scaled, *_dyadic_pair(scaled, top))
+        total_num += charge[0]
+        per_graph.append({"graph": f"{edges:x}", "charge_numerator": charge[1], "charge_exponent": charge[2]})
 
     ws.enumerate_restricted(ws.full, scan)
     if len(per_graph) != dv.pg:

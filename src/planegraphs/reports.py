@@ -13,6 +13,15 @@ keys become ``str(k)``, a Fraction a {"den", "num"} object of decimal
 strings, and an int of magnitude at least 2^53 a decimal string.  Each
 separator and indent goes out in one chunk with the scalar or bracket that
 follows it, as in the stdlib encoder, so the chunk list stays short.
+
+The writer dispatches on the exact type first: str, int, dict, list and
+tuple need no ``isinstance`` test, and a dict writes its str and small-int
+values, and a list its small ints, in its own loop without a call.  None,
+bools, Fraction, float and every subclass take an ``isinstance`` chain.
+Reports repeat a few dict shapes many times, so each call keeps a cache
+from a dict's key tuple to its sorted, encoded keys.  A dict with a key
+that is not a str is rebuilt with ``str(k)`` keys instead, so of keys with
+equal text (``1`` and ``"1"``) the last one still wins.
 """
 
 from __future__ import annotations
@@ -43,46 +52,68 @@ def dumps_json(payload: dict) -> str:
     """The canonical JSON text of `payload`, newline-terminated: the bytes of
     ``json.dumps(..., indent=2, sort_keys=True)`` on its lossless form."""
     chunks: list[str] = []
-    _write_json(payload, "", "\n", chunks.append)
+    _write_json(payload, "", "\n", chunks.append, {})
     chunks.append("\n")
     return "".join(chunks)
 
 
-def _write_json(obj, lead: str, newline: str, out: Callable[[str], None]) -> None:
+_DIRECT = (str, int, dict, list, tuple)  # exact types dispatched on without isinstance
+
+
+def _write_json(obj, lead: str, newline: str, out: Callable[[str], None], shapes: dict) -> None:
     """Pass `lead` and then the JSON text of `obj` to `out`, with nested
     lines starting at `newline` plus two spaces.  `lead` goes out in the same
-    chunk as a scalar or an opening bracket."""
-    if obj is None:
-        out(lead + "null")
-    elif obj is True:
-        out(lead + "true")
-    elif obj is False:
-        out(lead + "false")
-    elif isinstance(obj, Fraction):
-        inner = newline + "  "
-        out(f'{lead}{{{inner}"den": "{obj.denominator}",{inner}"num": "{obj.numerator}"{newline}}}')
-    elif isinstance(obj, int):
-        out(lead + (int.__repr__(obj) if -_EXACT < obj < _EXACT else f'"{obj}"'))
-    elif isinstance(obj, float):
-        out(lead + json.dumps(obj))
-    elif isinstance(obj, str):
-        out(lead + _encode_str(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out(lead + "{}")
+    chunk as a scalar or an opening bracket.  `shapes` is the key cache of
+    one ``dumps_json`` call: a dict's key tuple to its sorted pairs of key
+    and encoded ``"key": ``, or to [] when some key is not a str."""
+    kind = type(obj)
+    if kind not in _DIRECT:
+        if obj is None:
+            out(lead + "null")
             return
+        if obj is True or obj is False:
+            out(lead + ("true" if obj else "false"))
+            return
+        if isinstance(obj, Fraction):
+            inner = newline + "  "
+            out(f'{lead}{{{inner}"den": "{obj.denominator}",{inner}"num": "{obj.numerator}"{newline}}}')
+            return
+        if isinstance(obj, float):
+            out(lead + json.dumps(obj))
+            return
+        kind = next((base for base in _DIRECT if isinstance(obj, base)), None)
+        if kind is None:
+            raise TypeError(f"cannot serialize {type(obj).__name__}")
+    if kind is str:
+        out(lead + _encode_str(obj))
+    elif kind is int:
+        out(lead + (int.__repr__(obj) if -_EXACT < obj < _EXACT else f'"{obj}"'))
+    elif not obj:
+        out(lead + ("{}" if kind is dict else "[]"))
+    elif kind is dict:
         inner = newline + "  "
         comma = "," + inner
-        items = {str(k): v for k, v in obj.items()}
+        shape = tuple(obj)
+        names = shapes.get(shape)
+        if names is None:
+            strs = all(type(k) is str for k in shape)
+            names = shapes[shape] = [(k, _encode_str(k) + ": ") for k in sorted(shape)] if strs else []
+        if not names:  # keys become str(k); of keys with equal text the last wins
+            obj = {str(k): v for k, v in obj.items()}
+            names = [(k, _encode_str(k) + ": ") for k in sorted(obj)]
         sep = lead + "{" + inner
-        for key in sorted(items):
-            _write_json(items[key], sep + _encode_str(key) + ": ", inner, out)
+        for key, name in names:
+            value = obj[key]
+            kind = type(value)
+            if kind is str:
+                out(sep + name + _encode_str(value))
+            elif kind is int and -_EXACT < value < _EXACT:
+                out(sep + name + int.__repr__(value))
+            else:
+                _write_json(value, sep + name, inner, out, shapes)
             sep = comma
         out(newline + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out(lead + "[]")
-            return
+    else:
         inner = newline + "  "
         comma = "," + inner
         sep = lead + "[" + inner
@@ -90,11 +121,9 @@ def _write_json(obj, lead: str, newline: str, out: Callable[[str], None]) -> Non
             if type(value) is int and -_EXACT < value < _EXACT:
                 out(sep + int.__repr__(value))  # the bulk of list items, without a call
             else:
-                _write_json(value, sep, inner, out)
+                _write_json(value, sep, inner, out, shapes)
             sep = comma
         out(newline + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def csv_header(subcommand: str, ps: PointSet | None) -> list[str]:

@@ -16,14 +16,17 @@ from planegraphs import (
     family_root,
     gen_cap_with_apex,
     gen_convex_chain,
+    gen_triangular_hull_random,
     graph_charge_v0,
     lp_charge_cap,
     max_family_charge,
     potential,
     visibility,
 )
+from planegraphs import charging
 from planegraphs.certified import PI_HI
 from planegraphs.crossings import structures
+from planegraphs.enumeration import workspace
 
 
 class TestVisibilityAndPotential:
@@ -215,8 +218,8 @@ def test_charge_audit_small(triangle):
         census_by_point[row["point"]] += row["multiplicity"] << row["visibility_j"]
     assert census_by_point == {0: 8, 1: 8, 2: 8}
     # every reported charge is num / 2^exp in lowest terms and equals the
-    # graph's charge
-    for ps in (triangle, gen_cap_with_apex(5)):
+    # graph's charge; the random set has crossings, so its masks vary
+    for ps in (triangle, gen_cap_with_apex(5), gen_triangular_hull_random(6, seed=1)):
         rows = charge_audit(ps)["per_graph_charges"]
         assert len(rows) == count_plane_graphs(ps)
         for row in rows:
@@ -224,4 +227,25 @@ def test_charge_audit_small(triangle):
             assert num % 2 == 1 or exp == 0
             g = PlaneGraph.from_hex(row["graph"], ps.n)
             assert Fraction(num, 2**exp) == graph_charge_v0(ps, g)
+
+
+def test_charge_audit_computes_each_charge_once_per_blocked_mask(monkeypatch):
+    # A charge depends only on the blocked mask, so the audit computes it
+    # once per distinct mask, counted here by a scan of its own.
+    ps = gen_cap_with_apex(6)
+    ws = workspace(ps)
+    masks: set[int] = set()
+    pg = ws.enumerate_restricted(ws.full, lambda edges, blocked: masks.add(blocked))
+    scaled_charge = charging._scaled_charge
+    calls: list[int] = []
+
+    def counted(inc, blocked, top):
+        calls.append(blocked)
+        return scaled_charge(inc, blocked, top)
+
+    monkeypatch.setattr(charging, "_scaled_charge", counted)
+    audit = charge_audit(ps)
+    assert len(audit["per_graph_charges"]) == audit["pg"] == pg == 11264
+    assert sorted(calls) == sorted(masks)
+    assert len(masks) < pg // 8
 

@@ -141,25 +141,41 @@ class TestVerify:
     def test_unknown_claim(self, tri_file, capsys):
         assert run_cli("verify", tri_file, "--claims", "bogus") == 2
 
-    # Whole-report digests: any change to a status, margin, witness, detail
-    # or key of any claim shows here.  cap_with_apex 6 asserts every claim,
-    # convex_chain 5 takes the not-applicable paths.
+    # Whole-report digests of every report that `dumps_json` writes, and of
+    # the charge-audit CSV: any change to a byte of a report shows here.  For
+    # `verify`, cap_with_apex 6 asserts every claim and convex_chain 5 takes
+    # the not-applicable paths.  `gen_args` of None runs without an input.
     @pytest.mark.parametrize(
-        "gen_args, sha256",
+        "gen_args, argv, code, sha256",
         [
-            (("cap_with_apex", 6),
+            (("cap_with_apex", 6), ("verify",), 0,
              "ee4a26126def4975e4e1879bb5695ac34a3e94f9e5af672fe0483ffb39dd9504"),
-            (("convex_chain", 5),
+            (("convex_chain", 5), ("verify",), 0,
              "5fd8970ddb4514cd7affb70e4640a252862d3ef21b56220f9225bfe5884193f1"),
-            (("triangular_hull_random", 7, "--seed", 1),
+            (("triangular_hull_random", 7, "--seed", 1), ("verify",), 0,
              "9af8678b9769f2692992c955fec4a3de1f87598de3fba545c5e8d52be302177f"),
+            (("cap_with_apex", 6), ("charge-audit",), 0,
+             "d287679a157d37859398d8d16dc61cd3267dcba8423327d25ceaf0fda22a2743"),
+            (("cap_with_apex", 6), ("charge-audit", "--format", "csv"), 0,
+             "0bcc1d3efc4151991c86da936d9a8089c22b05ff9f4d229ba7398145dc4cf29a"),
+            (("triangular_hull_random", 8, "--seed", 1), ("triangulations",), 0,
+             "606dee9028dc30eaadbe02a9f23db28de6b9d89201c0076d87959fe89ced71c0"),
+            (("triangular_hull_random", 9, "--seed", 1), ("degrees",), 0,
+             "b2337f46b24718ac0b1061de8e5d729f8e222805176b44cb9e79c756188d72ad"),
+            (None, ("construction-report", 7, "--format", "json"), 0,
+             "82b7b1d19a6e06d3e31e1fcc8b8976f7807fde2459c31ad4c7b9b28c3071c8a5"),
         ],
-        ids=["cap_apex6", "convex5", "random7_seed1"],
+        ids=["cap_apex6", "convex5", "random7_seed1", "audit_cap_apex6_json",
+             "audit_cap_apex6_csv", "triangulations_random8_seed1",
+             "degrees_random9_seed1", "construction_report7_json"],
     )
-    def test_report_bytes_pinned(self, gen_args, sha256, tmp_path, capsys):
-        pts = tmp_path / "in.pts"
-        assert run_cli("gen", *gen_args, "-o", pts) == 0
-        assert run_cli("verify", pts) == 0
+    def test_report_bytes_pinned(self, gen_args, argv, code, sha256, tmp_path, capsys):
+        if gen_args is None:
+            assert run_cli(*argv) == code
+        else:
+            pts = tmp_path / "in.pts"
+            assert run_cli("gen", *gen_args, "-o", pts) == 0
+            assert run_cli(argv[0], pts, *argv[1:]) == code
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == sha256
 

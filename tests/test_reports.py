@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+from collections import OrderedDict, namedtuple
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -63,6 +65,23 @@ def test_dumps_json_matches_stdlib(payload):
     assert dumps_json(payload) == oracle(payload)
 
 
+class Level(IntEnum):
+    LOW = -3
+    HIGH = 2**60
+
+
+class Text(str):
+    pass
+
+
+Pair = namedtuple("Pair", "left right")
+
+# One value per JSON type and both sides of the 2^53 boundary, to vary the
+# type of a dict value from row to row of same-shape dicts.
+ROW_VALUES = ["s", 2**53, -(2**53), 2**53 - 1, True, False, None, Fraction(5, 8),
+              [1, "x", None], {"b": 1, "a": "y"}, 0.5]
+
+
 def test_edge_values():
     payload = {
         "ints": EDGE_INTS,
@@ -73,6 +92,14 @@ def test_edge_values():
         "1": "the same key as text",
         "1x": (None, True, False),
         "text": "tab\there é\x7f",
+        "rows": [{"key": i, "value": v, "next": {"value": v}} for i, v in enumerate(ROW_VALUES)],
+        "colliding": [{1: "a", "1": "b"}, {"1": "c", 1: "d"}, {1: "e", "1": "f"}] * 2,
+        "fallback": [
+            OrderedDict([("z", 1), ("a", Level.LOW), (Text("m"), Text("sub"))]),
+            [Level.LOW, Level.HIGH],
+            {"level": Level.HIGH, "text": Text("é"), "pair": Pair(Level.LOW, Text(""))},
+            Pair({"a": 1}, OrderedDict()),
+        ],
     }
     assert dumps_json(payload) == oracle(payload)
     assert dumps_json({}) == "{}\n"
