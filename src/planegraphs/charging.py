@@ -196,7 +196,10 @@ def charge_audit(ps: PointSet, max_n: int | None = None) -> dict:
     A graph's charge depends only on its blocked mask, and a segment that
     crosses nothing (every hull edge, at least) never changes that mask, so
     the masks repeat: with f such segments there are at most pg / 2^f of
-    them.  Each charge is computed once per distinct mask.
+    them.  Each charge is computed once per distinct mask.  The rows of
+    ``per_graph_charges`` are in the report's shape: ``{"graph": hex edge
+    mask, "num": decimal string, "exp": int}``, the charge num / 2^exp in
+    lowest terms.
     """
     dv = expected_degree_vector(ps, max_n=max_n)
     zero_vings = dv.ving_counts[0] if ps.n else 0
@@ -206,18 +209,15 @@ def charge_audit(ps: PointSet, max_n: int | None = None) -> dict:
 
     per_graph: list[dict] = []
     total_num = 0
-    charges: dict[int, tuple[int, int, int]] = {}  # blocked -> (scaled, num, exp)
-
-    def scan(edges: int, blocked: int) -> None:
-        nonlocal total_num
+    charges: dict[int, tuple[int, str, int]] = {}  # blocked -> (scaled, num, exp)
+    for edges, blocked in ws.independent_sets(ws.full):
         charge = charges.get(blocked)
         if charge is None:
             scaled = _scaled_charge(inc, blocked, top)
-            charge = charges[blocked] = (scaled, *_dyadic_pair(scaled, top))
+            num, exp = _dyadic_pair(scaled, top)
+            charge = charges[blocked] = (scaled, str(num), exp)
         total_num += charge[0]
-        per_graph.append({"graph": f"{edges:x}", "charge_numerator": charge[1], "charge_exponent": charge[2]})
-
-    ws.enumerate_restricted(ws.full, scan)
+        per_graph.append({"graph": f"{edges:x}", "num": charge[1], "exp": charge[2]})
     if len(per_graph) != dv.pg:
         raise AssertionError("the scan and the counting DP disagree on pg")
     if total_num != zero_vings << top:

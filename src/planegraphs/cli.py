@@ -9,7 +9,8 @@ byte-identical across runs.
 The point-count cap is `--max-n`, else $PLANEGRAPH_MAX_N, else
 ``DEFAULT_MAX_N``, and `--force` lifts it to the input's n.  `--workers` is
 on `degrees` alone, whose per-point rows it spreads over processes; the
-report does not depend on it.  `count` always prints pg on stdout;
+report does not depend on it.  `--format` is on every report command but
+`verify`, which writes JSON alone; `count` always prints pg on stdout, and
 `--format` shapes its `--out` report.
 """
 
@@ -54,9 +55,10 @@ def _cap(args: argparse.Namespace, n: int) -> int:
     return max(cap, n) if args.force else cap
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, formats: bool = True) -> None:
     parser.add_argument("pts", help="point-set file in .pts format")
-    parser.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
+    if formats:
+        parser.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
     parser.add_argument("--out", type=Path, default=None, help="write the report here instead of stdout")
     parser.add_argument("--max-n", type=int, default=None, help="override the point-count cap")
     parser.add_argument("--force", action="store_true", help="proceed past the cap")
@@ -153,14 +155,7 @@ def cmd_charge_audit(args) -> int:
                 "num": str(audit["total_charge_numerator"]),
                 "exp": audit["total_charge_exponent"],
             },
-            "per_graph_charges": [
-                {
-                    "graph": row["graph"],
-                    "num": str(row["charge_numerator"]),
-                    "exp": row["charge_exponent"],
-                }
-                for row in audit["per_graph_charges"]
-            ],
+            "per_graph_charges": audit["per_graph_charges"],
             "family_census": audit["family_census"],
         }
         _emit(dumps_json(payload), args.out)
@@ -187,11 +182,7 @@ def cmd_verify(args) -> int:
 
 def cmd_gen(args) -> int:
     spec = ConstructionSpec(kind=args.kind, n=args.n, seed=args.seed)
-    ps = spec.build()
-    if args.out is None:
-        sys.stdout.write(ps.to_pts())
-    else:
-        args.out.write_text(ps.to_pts())
+    _emit(spec.build().to_pts(), args.out)
     return 0
 
 
@@ -269,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_charge_audit)
 
     p = sub.add_parser("verify", help="run claim verifiers against a point set")
-    _add_common(p)
+    _add_common(p, formats=False)
     p.add_argument(
         "--claims",
         default=None,
@@ -310,8 +301,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RecursionError, MemoryError) as exc:
-        # Huge inputs past the cap (--force) can exhaust the recursion
-        # limit of the depth-first walks or the memory.
+        # Huge inputs past the cap (--force) can exhaust the memory, or the
+        # recursion limit of the counting DP, the one code that recurses.
         print(f"error: input too large ({type(exc).__name__}: {exc})", file=sys.stderr)
         return 2
 

@@ -4,15 +4,16 @@ A plane graph of a point set P is exactly an independent set of the segment
 crossing relation, so everything here is independent-set machinery over the
 conflict bit-vectors of :mod:`planegraphs.crossings`:
 
-* ``_Workspace.enumerate_restricted`` walks a depth-first 2-way branch over
-  segment indices (skip / choose) and visits every crossing-free subset in
-  lexicographic order.  The visitor receives ``(edges, blocked)``, where
-  ``blocked`` is the OR of the crossing masks of the chosen edges: the
-  segments that cross some edge of the graph.  Since the graph is
-  crossing-free, ``edges & blocked == 0``, and the potential of a point p is
-  ``popcount(inc[p] & ~blocked)``.  The charge audit scans with it, and the
-  visibility verifier searches it for a witness; ``enumerate_plane_graphs``
-  is the public form that hands out :class:`PlaneGraph` objects.
+* ``_Workspace.independent_sets`` is a generator over every crossing-free
+  subset in lexicographic order: a depth-first skip / choose branch over
+  segment indices on an explicit stack, so it never recurses.  It yields
+  ``(edges, blocked)``, where ``blocked`` is the OR of the crossing masks of
+  the chosen edges: the segments that cross some edge of the graph.  Since
+  the graph is crossing-free, ``edges & blocked == 0``, and the potential of
+  a point p is ``popcount(inc[p] & ~blocked)``.  The charge audit loops over
+  it, and the visibility verifier returns its first witness from it;
+  ``enumerate_plane_graphs`` is the public form that hands out
+  :class:`PlaneGraph` objects.
 
 * ``enumerate_triangulations`` lists the maximal independent sets, which
   are the triangulations, with the pivot rule of Bron-Kerbosch as analysed
@@ -50,7 +51,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterator
 
 from .crossings import SegmentTable, structures
 from .geometry import PointSet
@@ -213,35 +214,24 @@ class _Workspace:
 
     # -- streaming enumeration over a restricted universe --------------------
 
-    def enumerate_restricted(self, avail: int, visitor: Callable[[int, int], None]) -> int:
-        """Call `visitor(edges, blocked)` on every independent subset of `avail`,
-        in lexicographic order; `blocked` equals ``self.blocked(edges)``."""
-        indices = []
-        mm = avail
-        while mm:
-            lsb = mm & -mm
-            indices.append(lsb.bit_length() - 1)
-            mm ^= lsb
+    def independent_sets(self, avail: int) -> Iterator[tuple[int, int]]:
+        """Yield `(edges, blocked)` for every independent subset of `avail`, in
+        lexicographic order; `blocked` equals ``self.blocked(edges)``.
+
+        An explicit stack of ``(rest, chosen, blocked)``: a popped node skips
+        the segments of `rest` one by one, lowest first, pushing for each the
+        branch that takes it, and yields the graph at the end of that path.
+        """
         cross = self.cross
-        count = 0
-        total = len(indices)
-
-        def rec(pos: int, chosen: int, forbidden: int) -> None:
-            nonlocal count
-            if pos == total:
-                visitor(chosen, forbidden)
-                count += 1
-                return
-            k = indices[pos]
-            bit = 1 << k
-            if forbidden & bit:
-                rec(pos + 1, chosen, forbidden)
-                return
-            rec(pos + 1, chosen, forbidden)
-            rec(pos + 1, chosen | bit, forbidden | cross[k])
-
-        rec(0, 0, 0)
-        return count
+        stack = [(avail, 0, 0)]
+        while stack:
+            rest, chosen, blocked = stack.pop()
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                crossed = cross[bit.bit_length() - 1]
+                stack.append((rest & ~crossed, chosen | bit, blocked | crossed))
+            yield chosen, blocked
 
     # -- blocked masks -------------------------------------------------------
 
@@ -308,10 +298,11 @@ def enumerate_plane_graphs(
     """
     _check_cap(ps, max_n)
     ws = workspace(ps)
-    n = ps.n
-    return ws.enumerate_restricted(
-        ws.full, lambda edges, blocked: visitor(PlaneGraph(edges, n))
-    )
+    count = 0
+    for edges, _ in ws.independent_sets(ws.full):
+        visitor(PlaneGraph(edges, ps.n))
+        count += 1
+    return count
 
 
 def count_plane_graphs(ps: PointSet, max_n: int | None = None) -> int:

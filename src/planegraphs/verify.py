@@ -217,18 +217,9 @@ def _visibility_witness(ps: PointSet, censuses: list[dict[int, int]], j: int) ->
     p = next(p for p, census in enumerate(censuses) if j in census)
     ws = workspace(ps)
     inc = ws.table.incident_masks[p]
-
-    class Found(Exception):
-        pass
-
-    def visit(edges: int, blocked: int) -> None:
+    for edges, blocked in ws.independent_sets(ws.full & ~inc):
         if (inc & ~blocked).bit_count() == j:
-            raise Found(edges)  # the first hit is the witness: stop the walk
-
-    try:
-        ws.enumerate_restricted(ws.full & ~inc, visit)
-    except Found as hit:
-        return {"graph": f"{hit.args[0]:x}", "point": p, "visibility": j}
+            return {"graph": f"{edges:x}", "point": p, "visibility": j}
     raise AssertionError(f"point {p} has no family root of visibility {j}")
 
 

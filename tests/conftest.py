@@ -8,6 +8,7 @@ and plain visitor enumeration for degree histograms.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -24,6 +25,14 @@ from planegraphs.crossings import structures
 
 # Seeds are frozen so every run exercises identical point sets.
 RANDOM_SEEDS = {5: (1, 2), 6: (1, 2), 7: (1, 2), 8: (1, 2), 9: (1,)}
+
+
+def frames_below() -> int:
+    """Python frames on the stack below the caller, the caller included."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
 
 
 def coords(*pairs) -> PointSet:

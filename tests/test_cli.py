@@ -11,6 +11,8 @@ import planegraphs
 from planegraphs import enumeration, gen_cap_with_apex, gen_convex_chain, save_pts
 from planegraphs.cli import build_parser, main
 
+from conftest import frames_below
+
 
 @pytest.fixture
 def tri_file(tmp_path, triangle):
@@ -156,6 +158,8 @@ class TestVerify:
              "9af8678b9769f2692992c955fec4a3de1f87598de3fba545c5e8d52be302177f"),
             (("cap_with_apex", 6), ("charge-audit",), 0,
              "d287679a157d37859398d8d16dc61cd3267dcba8423327d25ceaf0fda22a2743"),
+            (("triangular_hull_random", 7, "--seed", 1), ("charge-audit",), 0,
+             "61affa7e96122c818b7723d1cdf08f43810d4bd00e17bdb23138106c58e20939"),
             (("cap_with_apex", 6), ("charge-audit", "--format", "csv"), 0,
              "0bcc1d3efc4151991c86da936d9a8089c22b05ff9f4d229ba7398145dc4cf29a"),
             (("triangular_hull_random", 8, "--seed", 1), ("triangulations",), 0,
@@ -166,7 +170,7 @@ class TestVerify:
              "82b7b1d19a6e06d3e31e1fcc8b8976f7807fde2459c31ad4c7b9b28c3071c8a5"),
         ],
         ids=["cap_apex6", "convex5", "random7_seed1", "audit_cap_apex6_json",
-             "audit_cap_apex6_csv", "triangulations_random8_seed1",
+             "audit_random7_seed1_json", "audit_cap_apex6_csv", "triangulations_random8_seed1",
              "degrees_random9_seed1", "construction_report7_json"],
     )
     def test_report_bytes_pinned(self, gen_args, argv, code, sha256, tmp_path, capsys):
@@ -220,14 +224,6 @@ class TestEmptyPointSet:
         assert payload["family_census"] == []
 
 
-def _frames_below() -> int:
-    """Python frames on the stack below the caller, the caller included."""
-    frame, depth = sys._getframe(1), 0
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-    return depth
-
-
 def test_recursion_limit_is_a_clean_error(tmp_path, capsys):
     # On convex_chain(12) the counting kernel needs about 51 frames above
     # its caller and the triangulation walk about 22, so a limit 28 frames
@@ -239,7 +235,7 @@ def test_recursion_limit_is_a_clean_error(tmp_path, capsys):
         build_parser().parse_args([command, str(pts)])  # compile argparse's regexes
     limit = sys.getrecursionlimit()
     try:
-        sys.setrecursionlimit(_frames_below() + 28)
+        sys.setrecursionlimit(frames_below() + 28)
         count_status = run_cli("count", pts)
         count_io = capsys.readouterr()
         tri_status = run_cli("triangulations", pts)
@@ -333,3 +329,17 @@ def test_workers_only_on_degrees():
             parser.parse_args([*argv, "--workers", "2"])
         assert exc.value.code == 2, argv
     assert parser.parse_args(["degrees", "x.pts", "--workers", "2"]).workers == 2
+
+
+def test_format_not_on_verify(tri_file, tmp_path, capsys):
+    # verify writes JSON alone, so asking it for another format is a usage
+    # error that writes no report
+    out = tmp_path / "report.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify", tri_file, "--format", "csv", "--out", out)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+    parser = build_parser()
+    for command in ("count", "degrees", "triangulations", "charge-audit"):
+        assert parser.parse_args([command, "x.pts", "--format", "csv"]).fmt == "csv"

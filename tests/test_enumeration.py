@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,14 @@ from planegraphs import (
 from planegraphs import enumeration
 from planegraphs.crossings import structures
 
-from conftest import brute_degree_data, brute_degree_rows, catalan, convex_count_recurrence, coords
+from conftest import (
+    brute_degree_data,
+    brute_degree_rows,
+    catalan,
+    convex_count_recurrence,
+    coords,
+    frames_below,
+)
 
 
 def collect(ps):
@@ -60,6 +68,51 @@ class TestEnumerate:
         ps = gen_convex_chain(6)
         with pytest.raises(EnumerationLimitError, match="exceeds the cap"):
             enumerate_plane_graphs(ps, lambda g: None, max_n=5)
+
+
+def brute_independent_sets(ws, avail):
+    """Every crossing-free subset of `avail` with its blocked mask, from a
+    2^m scan, in the walk's order: sorted by the key (bit 0, bit 1, ...)."""
+    cross, m = ws.cross, ws.m
+    found = []
+    for edges in range(1 << m):
+        if edges & ~avail:
+            continue
+        if any(edges >> k & 1 and cross[k] & edges for k in range(m)):
+            continue
+        found.append(edges)
+    found.sort(key=lambda edges: tuple(edges >> k & 1 for k in range(m)))
+    return [(edges, ws.blocked(edges)) for edges in found]
+
+
+class TestIndependentSets:
+    @pytest.mark.parametrize(
+        "ps",
+        [gen_cap_with_apex(6), gen_triangular_hull_random(6, seed=1),
+         gen_triangular_hull_random(6, seed=2)],
+        ids=["cap_apex6", "random6_seed1", "random6_seed2"],
+    )
+    def test_order_and_masks_match_a_brute_scan(self, ps):
+        ws = enumeration.workspace(ps)
+        universes = [ws.full] + [ws.full & ~inc for inc in ws.table.incident_masks]
+        for avail in universes:
+            assert list(ws.independent_sets(avail)) == brute_independent_sets(ws, avail)
+
+    def test_empty_universe_yields_the_empty_graph_once(self, convex4):
+        assert list(enumeration.workspace(convex4).independent_sets(0)) == [(0, 0)]
+
+    def test_walk_does_not_recurse(self):
+        # cap_with_apex(6) has 15 segments: a walk with one frame per
+        # segment would pass a limit 10 frames above the test.
+        ws = enumeration.workspace(gen_cap_with_apex(6))
+        limit = sys.getrecursionlimit()
+        try:
+            sys.setrecursionlimit(frames_below() + 10)
+            graphs = sum(1 for _ in ws.independent_sets(ws.full))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert ws.m == 15
+        assert graphs == 11264
 
 
 class TestCount:
