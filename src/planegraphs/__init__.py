@@ -29,7 +29,6 @@ from .enumeration import (  # noqa: F401
     DEFAULT_MAX_N,
     DegreeExpectation,
     EnumerationLimitError,
-    PlaneGraph,
     TriangulationRecord,
     TriangulationStats,
     containing_triangulation,
@@ -58,13 +57,13 @@ from .constructions import (  # noqa: F401
     gen_cap_with_apex,
     gen_convex_chain,
     gen_triangular_hull_random,
-    verify_product_law,
 )
 from .verify import (  # noqa: F401
     VerificationReport,
     run_claims,
     verify_graph_charge_cap,
     verify_previous_lower,
+    verify_product_law,
     verify_triangulation_degree_lemmas,
     verify_v0_upper,
     verify_vi_upper,

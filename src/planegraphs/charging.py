@@ -4,8 +4,9 @@ The charging argument moves charge between vings (point-in-graph instances)
 of *different* plane graphs of the same point set.  The unit of structure is
 the family: starting from a graph where p is isolated, connect p to any
 subset of the vertices it can see; a family of visibility j has exactly 2^j
-members, one per subset.  Charges are exact dyadic values held as
-:class:`~fractions.Fraction`; every computation here is exact.
+members, one per subset.  A graph is its int edge mask.  Charges are exact
+dyadic values held as :class:`~fractions.Fraction`; every computation here
+is exact.
 """
 
 from __future__ import annotations
@@ -13,45 +14,44 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .enumeration import PlaneGraph, expected_degree_vector, workspace
+from .enumeration import expected_degree_vector, workspace
 from .geometry import PointSet
 
 
-def visibility(ps: PointSet, g: PlaneGraph, p: int) -> int:
-    """Number of q != p with segment pq absent from g and crossing no edge of g."""
+def visibility(ps: PointSet, edges: int, p: int) -> int:
+    """Number of q != p with segment pq not in the graph `edges` and crossing none of them."""
     ws = workspace(ps)
-    return (ws.table.incident_masks[p] & ~g.edges & ~ws.blocked(g.edges)).bit_count()
+    return (ws.table.incident_masks[p] & ~edges & ~ws.blocked(edges)).bit_count()
 
 
-def potential(ps: PointSet, g: PlaneGraph, p: int) -> int:
-    """deg_g(p) plus the visibility of p in g; equals the family's visibility.
+def potential(ps: PointSet, edges: int, p: int) -> int:
+    """deg(p) plus the visibility of p in the graph `edges`: the family's visibility.
 
     The edges of a plane graph cross none of its edges, so this counts the
-    segments at p outside blocked(g).
+    segments at p outside blocked(edges).
     """
     ws = workspace(ps)
-    return (ws.table.incident_masks[p] & ~ws.blocked(g.edges)).bit_count()
+    return (ws.table.incident_masks[p] & ~ws.blocked(edges)).bit_count()
 
 
-def family_root(ps: PointSet, g: PlaneGraph, p: int) -> PlaneGraph:
-    """g minus all edges incident to p: the 0-ving graph of (p, g)'s family."""
-    ws = workspace(ps)
-    return PlaneGraph(g.edges & ~ws.table.incident_masks[p], ps.n)
+def family_root(ps: PointSet, edges: int, p: int) -> int:
+    """`edges` minus the edges at p: the 0-ving graph of the family of (p, edges)."""
+    return edges & ~workspace(ps).table.incident_masks[p]
 
 
-def family_members(ps: PointSet, root: PlaneGraph, p: int) -> list[PlaneGraph]:
+def family_members(ps: PointSet, root: int, p: int) -> list[int]:
     """All 2^j graphs reachable by connecting p to visible vertices of `root`."""
     ws = workspace(ps)
-    if root.edges & ws.table.incident_masks[p]:
+    if root & ws.table.incident_masks[p]:
         raise ValueError(f"point {p} is not isolated in the given root graph")
-    visible = ws.table.incident_masks[p] & ~ws.blocked(root.edges)
+    visible = ws.table.incident_masks[p] & ~ws.blocked(root)
     members = []
     add = 0
     while True:  # submasks of `visible` in increasing order
-        edges = root.edges | add
+        edges = root | add
         if ws.blocked(add) & edges:
             raise AssertionError("family member has a crossing pair")
-        members.append(PlaneGraph(edges, ps.n))
+        members.append(edges)
         add = (add - visible) & visible
         if not add:
             return members
@@ -104,11 +104,11 @@ def _dyadic_pair(num: int, top: int) -> tuple[int, int]:
     return num >> shift, top - shift
 
 
-def graph_charge_v0(ps: PointSet, g: PlaneGraph) -> Fraction:
-    """Total redistributed 0-ving charge sitting in g: sum_p 2^-pt(p, g)."""
+def graph_charge_v0(ps: PointSet, edges: int) -> Fraction:
+    """Total redistributed 0-ving charge in the graph `edges`: sum_p 2^-pt(p, edges)."""
     ws = workspace(ps)
     top = max(ps.n - 1, 0)  # potential is at most n-1
-    num = _scaled_charge(ws.table.incident_masks, ws.blocked(g.edges), top)
+    num = _scaled_charge(ws.table.incident_masks, ws.blocked(edges), top)
     return Fraction(num, 1 << top)
 
 

@@ -2,9 +2,9 @@
 
 Subcommands: validate, count, degrees, triangulations, charge-audit, verify,
 gen, construction-report.  Exit status 0 on success, 1 when an applicable
-verified claim is violated, 2 on usage or validation errors, and on inputs
-too large to finish (recursion depth or memory exhausted).  Reports are
-byte-identical across runs.
+verified claim is violated, 2 on usage or validation errors, on paths that
+cannot be read or written, and on inputs too large to finish (recursion
+depth or memory exhausted).  Reports are byte-identical across runs.
 
 The point-count cap is `--max-n`, else $PLANEGRAPH_MAX_N, else
 ``DEFAULT_MAX_N``, and `--force` lifts it to the input's n.  `--workers` is
@@ -21,12 +21,7 @@ import os
 import sys
 from pathlib import Path
 
-from .constructions import (
-    ConstructionSpec,
-    fn_ratio_table,
-    v0_trend_table,
-    verify_product_law,
-)
+from .constructions import ConstructionSpec, fn_ratio_table, v0_trend_table
 from .charging import charge_audit
 from .enumeration import (
     DEFAULT_MAX_N,
@@ -37,7 +32,7 @@ from .enumeration import (
 )
 from .geometry import GeneralPositionError, load_pts
 from .reports import dumps_csv, dumps_json, envelope
-from .verify import ALL_CLAIMS, run_claims
+from .verify import ALL_CLAIMS, run_claims, verify_product_law
 
 ENV_MAX_N = "PLANEGRAPH_MAX_N"
 
@@ -126,7 +121,7 @@ def cmd_triangulations(args) -> int:
             "count": str(stats.count),
             "records": [
                 {
-                    "graph": r.graph.to_hex(),
+                    "graph": f"{r.edges:x}",
                     "v3": r.v3,
                     "v4": r.v4,
                     "histogram": list(r.histogram),
@@ -137,7 +132,7 @@ def cmd_triangulations(args) -> int:
         _emit(dumps_json(payload), args.out)
     else:
         rows = [
-            [r.graph.to_hex(), r.v3, r.v4, " ".join(map(str, r.histogram))]
+            [f"{r.edges:x}", r.v3, r.v4, " ".join(map(str, r.histogram))]
             for r in stats.records
         ]
         _emit(dumps_csv("triangulations", ps, ["graph", "v3", "v4", "histogram"], rows), args.out)
@@ -294,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
     except EnumerationLimitError as exc:
         print(f"error: {exc} (use --force or --max-n to override)", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing, unreadable or unwritable path
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .enumeration import count_plane_graphs, expected_degree_vector
 from .geometry import (
@@ -23,7 +22,6 @@ from .geometry import (
     general_position_violations,
     segments_cross,
 )
-from .verify import VerificationReport, _descriptor, _verdict
 
 
 @dataclass(frozen=True)
@@ -93,7 +91,10 @@ def gen_cap_with_apex(n: int) -> PointSet:
     raise ValueError(f"no certified apex height below the coordinate cap for n={n}")
 
 
-def gen_triangular_hull_random(n: int, seed: int, size: int = 4096) -> PointSet:
+RANDOM_HULL_SIZE = 4096  # legs of the random sets' right-triangle hull
+
+
+def gen_triangular_hull_random(n: int, seed: int) -> PointSet:
     """A large triangle plus n-3 interior lattice points, rejection sampled.
 
     Deterministic in the seed; raises if the rejection budget runs out.
@@ -101,6 +102,7 @@ def gen_triangular_hull_random(n: int, seed: int, size: int = 4096) -> PointSet:
     if n < 4:
         raise ValueError("needs at least 4 points")
     rng = random.Random(seed)
+    size = RANDOM_HULL_SIZE
     pts = [(0, 0), (size, 0), (0, size)]
     budget = 20000 * n
     while len(pts) < n:
@@ -135,23 +137,6 @@ def flajolet_noy_approx(m: int) -> float:
     if m < 3:
         raise ValueError("m must be at least 3")
     return FN_CONSTANT * FN_GROWTH**m / (math.sqrt(math.pi) * m**1.5)
-
-
-def verify_product_law(n: int, max_n: int | None = None) -> VerificationReport:
-    """pg(cap_with_apex(n)) = 2^(n-1) * pg(convex_chain(n-1)), exactly.
-
-    The apex segments cross nothing (that is the certificate), so they are
-    free choices on top of any plane graph of the cap.
-    """
-    ps = gen_cap_with_apex(n)
-    lhs = count_plane_graphs(ps, max_n=max_n)
-    chain_count = count_plane_graphs(gen_convex_chain(n - 1), max_n=max_n)
-    rhs = (1 << (n - 1)) * chain_count
-    return _verdict(
-        "cap_apex_product_law", _descriptor(ps), lhs == rhs, Fraction(lhs - rhs),
-        {"lhs": str(lhs), "rhs": str(rhs)},
-        {"pg": lhs, "chain_count": chain_count, "free_choices": n - 1},
-    )
 
 
 def fn_ratio_table(m_max: int, max_n: int | None = None) -> list[dict]:

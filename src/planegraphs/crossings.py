@@ -2,9 +2,9 @@
 
 The n(n-1)/2 unordered point pairs are indexed lexicographically by
 (i, j) with i < j; this indexing is fixed forever because every serialized
-graph encoding depends on it.  All per-segment sets (crossings, incidences,
-hull flags) are bit-vectors over segment indices, stored as Python ints with
-bit k = segment k.
+graph encoding depends on it.  All per-segment sets (crossings, incidences)
+are bit-vectors over segment indices, stored as Python ints with bit k =
+segment k.
 """
 
 from __future__ import annotations
@@ -12,19 +12,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .geometry import PointSet, convex_hull, segments_cross
+from .geometry import PointSet, segments_cross
 
 SEGMENT_INDEXING = "lexicographic (i,j) pairs with i<j; bit k of edge masks = segment k"
 
 
 @dataclass(frozen=True, eq=False)
 class SegmentTable:
-    """All candidate segments of a point set, with hull flags and incidences."""
+    """All candidate segments of a point set, with their incidences."""
 
     n: int
     segments: tuple[tuple[int, int], ...]
     index_of: dict[tuple[int, int], int]
-    hull_edge_flags: int
     incident_masks: tuple[int, ...]      # per point: mask of incident segments
 
     @property
@@ -55,18 +54,7 @@ def build_segment_table(ps: PointSet) -> SegmentTable:
     for k, (i, j) in enumerate(segments):
         incident[i] |= 1 << k
         incident[j] |= 1 << k
-    hull_flags = 0
-    if n >= 3:
-        hull = convex_hull(ps)
-        for a, b in zip(hull, hull[1:] + hull[:1]):
-            hull_flags |= 1 << index_of[(min(a, b), max(a, b))]
-    return SegmentTable(
-        n=n,
-        segments=segments,
-        index_of=index_of,
-        hull_edge_flags=hull_flags,
-        incident_masks=tuple(incident),
-    )
+    return SegmentTable(n=n, segments=segments, index_of=index_of, incident_masks=tuple(incident))
 
 
 def build_crossing_sets(ps: PointSet, table: SegmentTable) -> CrossingSets:

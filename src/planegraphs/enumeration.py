@@ -12,8 +12,9 @@ conflict bit-vectors of :mod:`planegraphs.crossings`:
   the graph is crossing-free, ``edges & blocked == 0``, and the potential of
   a point p is ``popcount(inc[p] & ~blocked)``.  The charge audit loops over
   it, and the visibility verifier returns its first witness from it;
-  ``enumerate_plane_graphs`` is the public form that hands out
-  :class:`PlaneGraph` objects.
+  ``enumerate_plane_graphs`` is the public form that hands each edge mask
+  to a visitor.  A plane graph is its edge mask everywhere in the package:
+  an int whose bit k is segment k, written ``f"{edges:x}"`` in reports.
 
 * ``enumerate_triangulations`` lists the maximal independent sets, which
   are the triangulations, with the pivot rule of Bron-Kerbosch as analysed
@@ -53,7 +54,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator
 
-from .crossings import SegmentTable, structures
+from .crossings import structures
 from .geometry import PointSet
 
 DEFAULT_MAX_N = 12
@@ -71,28 +72,6 @@ def _check_cap(ps: PointSet, max_n: int | None) -> None:
 
 
 @dataclass(frozen=True)
-class PlaneGraph:
-    """One crossing-free edge subset, as a bit-vector over segment indices."""
-
-    edges: int
-    n: int
-
-    def to_hex(self) -> str:
-        """Lowercase hex of the edge bit-vector (LSB = segment 0)."""
-        return f"{self.edges:x}"
-
-    @classmethod
-    def from_hex(cls, text: str, n: int) -> "PlaneGraph":
-        return cls(edges=int(text, 16), n=n)
-
-    def edge_count(self) -> int:
-        return self.edges.bit_count()
-
-    def degree(self, p: int, table: SegmentTable) -> int:
-        return (self.edges & table.incident_masks[p]).bit_count()
-
-
-@dataclass(frozen=True)
 class DegreeExpectation:
     """Exact degree statistics of the uniform random plane graph of a set."""
 
@@ -104,7 +83,7 @@ class DegreeExpectation:
 
 @dataclass(frozen=True)
 class TriangulationRecord:
-    graph: PlaneGraph
+    edges: int
     v3: int
     v4: int
     histogram: tuple[int, ...]
@@ -288,10 +267,10 @@ def _pool_degree_rows(ps: PointSet, workers: int) -> list[tuple[int, ...]]:
 
 def enumerate_plane_graphs(
     ps: PointSet,
-    visitor: Callable[[PlaneGraph], None],
+    visitor: Callable[[int], None],
     max_n: int | None = None,
 ) -> int:
-    """Invoke `visitor` once per plane graph of P (the empty graph included).
+    """Invoke `visitor(edges)` once per plane graph of P (the empty graph included).
 
     Single-threaded, deterministic lexicographic order over the presence
     vector (segment 0 varies last).  Returns the visit count.
@@ -300,7 +279,7 @@ def enumerate_plane_graphs(
     ws = workspace(ps)
     count = 0
     for edges, _ in ws.independent_sets(ws.full):
-        visitor(PlaneGraph(edges, ps.n))
+        visitor(edges)
         count += 1
     return count
 
@@ -383,16 +362,15 @@ def expected_degree_vector(
     return ws.degrees
 
 
-def is_triangulation(ps: PointSet, g: PlaneGraph) -> bool:
+def is_triangulation(ps: PointSet, edges: int) -> bool:
     """Maximality test: no segment can be added without a crossing."""
     ws = workspace(ps)
-    return not (ws.full & ~g.edges & ~ws.blocked(g.edges))
+    return not (ws.full & ~edges & ~ws.blocked(edges))
 
 
-def containing_triangulation(ps: PointSet, g: PlaneGraph) -> PlaneGraph:
+def containing_triangulation(ps: PointSet, edges: int) -> int:
     """The triangulation obtained by repeatedly adding the lowest addable segment."""
     ws = workspace(ps)
-    edges = g.edges
     blocked = ws.blocked(edges)
     if blocked & edges:
         raise ValueError("input edge set has a crossing pair")
@@ -402,7 +380,7 @@ def containing_triangulation(ps: PointSet, g: PlaneGraph) -> PlaneGraph:
         edges |= lsb
         avail &= ~ws.cross[lsb.bit_length() - 1]
         avail ^= lsb
-    return PlaneGraph(edges, ps.n)
+    return edges
 
 
 def enumerate_triangulations(ps: PointSet, max_n: int | None = None) -> TriangulationStats:
@@ -464,8 +442,6 @@ def enumerate_triangulations(ps: PointSet, max_n: int | None = None) -> Triangul
             hist[(edges & inc[p]).bit_count()] += 1
         v3 = hist[3] if n > 3 else 0
         v4 = hist[4] if n > 4 else 0
-        records.append(
-            TriangulationRecord(graph=PlaneGraph(edges, n), v3=v3, v4=v4, histogram=tuple(hist))
-        )
+        records.append(TriangulationRecord(edges=edges, v3=v3, v4=v4, histogram=tuple(hist)))
     ws.triangulations = TriangulationStats(count=len(records), records=tuple(records))
     return ws.triangulations

@@ -39,6 +39,7 @@ from .certified import (
     log_interval,
 )
 from .charging import census_from_degree_row, max_family_charge
+from .constructions import gen_cap_with_apex, gen_convex_chain
 from .enumeration import (
     count_plane_graphs,
     enumerate_triangulations,
@@ -46,6 +47,8 @@ from .enumeration import (
     workspace,
 )
 from .geometry import PointSet, convex_hull, is_triangular_hull
+
+HARMONIC_SHIFT = 220  # fixed-point bits of the harmonic-sum enclosures
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -227,45 +230,36 @@ def verify_triangulation_degree_lemmas(
     ps: PointSet, max_n: int | None = None
 ) -> list[VerificationReport]:
     """Degree-3 and degree-4 bounds over every triangulation, plus the
-    sub-claim that at most one hull vertex of a triangulation has degree 3."""
+    sub-claim that at most one hull vertex of a triangulation has degree 3.
+    Each margin falls as one statistic rises, so the witness of a claim is
+    the first triangulation, in report order, to maximize its statistic."""
     n = ps.n
     desc = _descriptor(ps)
     claims = ("tri_deg3_bound", "tri_deg4_bound", "tri_hull_deg3_count")
     if not _paper_hypotheses(ps):
         return [_verdict(c, desc, None) for c in claims]
-    ws = workspace(ps)
     hull = convex_hull(ps)
-    inc = ws.table.incident_masks
+    inc = workspace(ps).table.incident_masks
     stats = enumerate_triangulations(ps, max_n=max_n)
 
-    margins: dict[str, Fraction | None] = {c: None for c in claims}
-    witnesses: dict[str, dict | None] = {c: None for c in claims}
+    def hull_deg3(rec) -> int:
+        return sum(1 for h in hull if (rec.edges & inc[h]).bit_count() == 3)
 
-    for rec in stats.records:
-        hull_deg3 = sum(
-            1 for h in hull if (rec.graph.edges & inc[h]).bit_count() == 3
-        )
-        per_claim = {
-            "tri_deg3_bound": Fraction(2 * n - 3 - 3 * rec.v3, 3),
-            "tri_deg4_bound": Fraction(6 * n - 9 * rec.v3 - 6, 2) - rec.v4,
-            "tri_hull_deg3_count": Fraction(1 - hull_deg3),
-        }
-        for key, value in per_claim.items():
-            if margins[key] is None or value < margins[key]:
-                margins[key] = value
-                witnesses[key] = {
-                    "graph": rec.graph.to_hex(),
-                    "v3": rec.v3,
-                    "v4": rec.v4,
-                    "hull_deg3_count": hull_deg3,
-                }
-
-    # n >= 5 points have a triangulation, so every margin is set
-    return [
-        _verdict(c, desc, margins[c] >= 0, margins[c], witnesses[c],
-                 {"triangulations_scanned": stats.count})
-        for c in claims
-    ]
+    rules = (  # statistic, and the margin as a function of its maximum
+        (lambda rec: rec.v3, lambda s: Fraction(2 * n - 3 - 3 * s, 3)),
+        (lambda rec: 9 * rec.v3 + 2 * rec.v4, lambda s: Fraction(6 * n - 6 - s, 2)),
+        (hull_deg3, lambda s: Fraction(1 - s)),
+    )
+    reports = []
+    # n >= 5 points have a triangulation, so every maximum exists
+    for claim, (statistic, margin_of) in zip(claims, rules):
+        rec = max(stats.records, key=statistic)
+        margin = margin_of(statistic(rec))
+        witness = {"graph": f"{rec.edges:x}", "v3": rec.v3, "v4": rec.v4,
+                   "hull_deg3_count": hull_deg3(rec)}
+        reports.append(_verdict(claim, desc, margin >= 0, margin, witness,
+                                {"triangulations_scanned": stats.count}))
+    return reports
 
 
 def verify_graph_charge_cap(ps: PointSet, max_n: int | None = None) -> VerificationReport:
@@ -281,19 +275,18 @@ def verify_graph_charge_cap(ps: PointSet, max_n: int | None = None) -> Verificat
     desc = _descriptor(ps)
     if not _paper_hypotheses(ps):
         return _verdict("graph_charge_cap", desc, None)
-    stats = enumerate_triangulations(ps, max_n=max_n)
     top = n - 1
-    max_scaled, witness_graph = -1, None
-    for rec in stats.records:
-        scaled = sum(count << (top - d) for d, count in enumerate(rec.histogram))
-        if scaled > max_scaled:
-            max_scaled, witness_graph = scaled, rec.graph
-    max_charge = Fraction(max_scaled, 1 << top)
+
+    def scaled(rec) -> int:  # 2^top times the charge of the triangulation
+        return sum(count << (top - d) for d, count in enumerate(rec.histogram))
+
+    rec = max(enumerate_triangulations(ps, max_n=max_n).records, key=scaled)
+    max_charge = Fraction(scaled(rec), 1 << top)
     cap = Fraction(11 * n - 6, 112)
     margin = cap - max_charge
     return _verdict(
         "graph_charge_cap", desc, margin >= 0, margin,
-        {"graph": witness_graph.to_hex(), "charge": str(max_charge)},
+        {"graph": f"{rec.edges:x}", "charge": str(max_charge)},
         {
             "graphs_scanned": count_plane_graphs(ps, max_n=max_n),
             "max_charge": max_charge,
@@ -349,6 +342,23 @@ def verify_zero_ving_recurrence(
     ]
 
 
+def verify_product_law(n: int, max_n: int | None = None) -> VerificationReport:
+    """pg(cap_with_apex(n)) = 2^(n-1) * pg(convex_chain(n-1)), exactly.
+
+    The apex segments cross nothing (that is the certificate), so they are
+    free choices on top of any plane graph of the cap.
+    """
+    ps = gen_cap_with_apex(n)
+    lhs = count_plane_graphs(ps, max_n=max_n)
+    chain_count = count_plane_graphs(gen_convex_chain(n - 1), max_n=max_n)
+    rhs = (1 << (n - 1)) * chain_count
+    return _verdict(
+        "cap_apex_product_law", _descriptor(ps), lhs == rhs, Fraction(lhs - rhs),
+        {"lhs": str(lhs), "rhs": str(rhs)},
+        {"pg": lhs, "chain_count": chain_count, "free_choices": n - 1},
+    )
+
+
 # ---------------------------------------------------------------------------
 # Analytic facts (point-set independent)
 # ---------------------------------------------------------------------------
@@ -367,11 +377,11 @@ def _sweep(claim: str, steps, details: dict) -> VerificationReport:
     return _verdict(claim, "-", witness is None, margin, witness, details)
 
 
-def harmonic_residual_sweep(m_max: int, shift: int = 220) -> VerificationReport:
+def harmonic_residual_sweep(m_max: int) -> VerificationReport:
     """0 <= eps_m <= 1/(8 m^2) for every m <= m_max (incremental harmonic sums)."""
 
     def steps():
-        one = 1 << shift
+        one = 1 << HARMONIC_SHIFT
         h_lo = h_hi = 0
         for m in range(1, m_max + 1):
             h_lo += one // m
@@ -389,13 +399,13 @@ def harmonic_residual_sweep(m_max: int, shift: int = 220) -> VerificationReport:
     return _sweep("harmonic_residual_bounds", steps(), {"m_max": m_max})
 
 
-def harmonic_gap_sweep(i_max: int, shift: int = 220) -> VerificationReport:
+def harmonic_gap_sweep(i_max: int) -> VerificationReport:
     """H_{2i} - H_i < ln 2 for every i <= i_max."""
 
     def steps():
-        one = 1 << shift
+        one = 1 << HARMONIC_SHIFT
         ln2_lo, _ = ln2_interval()
-        gap_hi = 0  # certified upper bound of (H_2i - H_i) * 2^shift
+        gap_hi = 0  # certified upper bound of (H_2i - H_i) * 2^HARMONIC_SHIFT
         for i in range(1, i_max + 1):
             gap_hi += -((-one) // (2 * i - 1)) - ((-one) // (2 * i)) - one // i
             margin = ln2_lo - Fraction(gap_hi, one)

@@ -124,10 +124,10 @@ def brute_degree_data(ps: PointSet) -> tuple[int, list[int]]:
     ving = [0] * n
     graphs = [0]
 
-    def visit(g):
+    def visit(edges):
         graphs[0] += 1
         for p in range(n):
-            ving[(g.edges & inc[p]).bit_count()] += 1
+            ving[(edges & inc[p]).bit_count()] += 1
 
     enumerate_plane_graphs(ps, visit)
     return graphs[0], ving
@@ -135,13 +135,13 @@ def brute_degree_data(ps: PointSet) -> tuple[int, list[int]]:
 
 def brute_degree_rows(ps: PointSet) -> tuple[tuple[int, ...], ...]:
     """rows[p][d] = number of graphs in which p has degree d, by visiting
-    every graph and tallying ``PlaneGraph.degree``."""
+    every graph and tallying the popcount of its edges at each point."""
     table, _ = structures(ps)
     rows = [[0] * ps.n for _ in range(ps.n)]
 
-    def visit(g):
+    def visit(edges):
         for p in range(ps.n):
-            rows[p][g.degree(p, table)] += 1
+            rows[p][(edges & table.incident_masks[p]).bit_count()] += 1
 
     enumerate_plane_graphs(ps, visit)
     return tuple(map(tuple, rows))

@@ -144,7 +144,7 @@ class TestVerify:
         assert run_cli("verify", tri_file, "--claims", "bogus") == 2
 
     # Whole-report digests of every report that `dumps_json` writes, and of
-    # the charge-audit CSV: any change to a byte of a report shows here.  For
+    # the charge-audit and triangulations CSV: any change to a byte of a report shows here.  For
     # `verify`, cap_with_apex 6 asserts every claim and convex_chain 5 takes
     # the not-applicable paths.  `gen_args` of None runs without an input.
     @pytest.mark.parametrize(
@@ -164,6 +164,9 @@ class TestVerify:
              "0bcc1d3efc4151991c86da936d9a8089c22b05ff9f4d229ba7398145dc4cf29a"),
             (("triangular_hull_random", 8, "--seed", 1), ("triangulations",), 0,
              "606dee9028dc30eaadbe02a9f23db28de6b9d89201c0076d87959fe89ced71c0"),
+            (("triangular_hull_random", 8, "--seed", 1),
+             ("triangulations", "--format", "csv"), 0,
+             "33b1bb2fbd3ff5d81b1d56053925be3ab5367b3da4bb32059928f5a642119f8c"),
             (("triangular_hull_random", 9, "--seed", 1), ("degrees",), 0,
              "b2337f46b24718ac0b1061de8e5d729f8e222805176b44cb9e79c756188d72ad"),
             (None, ("construction-report", 7, "--format", "json"), 0,
@@ -171,7 +174,7 @@ class TestVerify:
         ],
         ids=["cap_apex6", "convex5", "random7_seed1", "audit_cap_apex6_json",
              "audit_random7_seed1_json", "audit_cap_apex6_csv", "triangulations_random8_seed1",
-             "degrees_random9_seed1", "construction_report7_json"],
+             "triangulations_random8_seed1_csv", "degrees_random9_seed1", "construction_report7_json"],
     )
     def test_report_bytes_pinned(self, gen_args, argv, code, sha256, tmp_path, capsys):
         if gen_args is None:
@@ -250,6 +253,19 @@ def test_recursion_limit_is_a_clean_error(tmp_path, capsys):
     # the walk keeps its own stack: it finishes under the same limit
     assert tri_status == 0
     assert json.loads(capsys.readouterr().out)["count"] == "16796"  # Catalan(10)
+
+
+def test_directory_is_a_usage_error(tri_file, tmp_path, capsys):
+    # a path that cannot be read or written exits 2, which `verify` does
+    # not use for a violated claim, with one error line
+    for argv in (("verify", tmp_path), ("count", tmp_path),
+                 ("degrees", tri_file, "--out", tmp_path)):
+        assert run_cli(*argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert "Traceback" not in captured.err, argv
+        errors = captured.err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: "), argv
 
 
 class TestGen:

@@ -1,14 +1,22 @@
-from planegraphs import build_crossing_sets, build_segment_table, gen_convex_chain
+from planegraphs import build_crossing_sets, build_segment_table, convex_hull, gen_convex_chain
 from planegraphs.crossings import structures
 
 from conftest import count_convex_quadruples, standard_small_sets
+
+
+def hull_edge_mask(ps, table) -> int:
+    """The segments joining consecutive vertices of `convex_hull(ps)`."""
+    hull = convex_hull(ps)
+    return sum(
+        1 << table.index_of[(min(a, b), max(a, b))] for a, b in zip(hull, hull[1:] + hull[:1])
+    )
 
 
 def test_triangle_table(triangle):
     table = build_segment_table(triangle)
     assert table.m == 3
     assert table.segments == ((0, 1), (0, 2), (1, 2))
-    assert table.hull_edge_flags == 0b111
+    assert hull_edge_mask(triangle, table) == 0b111
     cross = build_crossing_sets(triangle, table)
     assert all(c == 0 for c in cross.cross)  # three edges, no two intersect
 
@@ -33,7 +41,7 @@ def test_convex5_counts():
     ps = gen_convex_chain(5)
     table, crossings = structures(ps)
     assert table.m == 10
-    assert table.hull_edge_flags.bit_count() == 5
+    assert hull_edge_mask(ps, table).bit_count() == 5
     assert crossings.total_crossing_pairs == 5
 
 
@@ -62,7 +70,7 @@ def test_crossing_sets_symmetric_irreflexive(small_sets):
 def test_hull_edges_cross_nothing(small_sets):
     for ps in small_sets:
         table, crossings = structures(ps)
-        flags = table.hull_edge_flags
+        flags = hull_edge_mask(ps, table)
         while flags:
             lsb = flags & -flags
             assert crossings.cross[lsb.bit_length() - 1] == 0

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from planegraphs import (
     EnumerationLimitError,
-    PlaneGraph,
     PointSet,
     containing_triangulation,
     convex_hull,
@@ -37,7 +36,7 @@ from conftest import (
 
 def collect(ps):
     seen = []
-    enumerate_plane_graphs(ps, lambda g: seen.append(g.edges))
+    enumerate_plane_graphs(ps, seen.append)
     return seen
 
 
@@ -176,7 +175,7 @@ class TestDegreeVector:
             assert sum(dv.vhat) == ps.n
             assert sum(dv.ving_counts) == ps.n * dv.pg
             edges = []
-            enumerate_plane_graphs(ps, lambda g: edges.append(g.edge_count()))
+            enumerate_plane_graphs(ps, lambda g: edges.append(g.bit_count()))
             assert sum(i * v for i, v in enumerate(dv.ving_counts)) == 2 * sum(edges)
 
     def test_matches_bruteforce(self, small_sets):
@@ -266,17 +265,16 @@ def test_counts_do_not_depend_on_labels(case):
 
 class TestTriangulations:
     def test_triangle_full_graph(self, triangle):
-        assert is_triangulation(triangle, PlaneGraph(0b111, 3))
-        assert not is_triangulation(triangle, PlaneGraph(0b011, 3))
+        assert is_triangulation(triangle, 0b111)
+        assert not is_triangulation(triangle, 0b011)
 
     def test_convex4_with_diagonal(self, convex4):
         table, _ = structures(convex4)
         edges = 0
         for seg in [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]:
             edges |= 1 << table.index_of[seg]
-        g = PlaneGraph(edges, 4)
-        assert is_triangulation(convex4, g)
-        assert g.edge_count() == 5 == 3 * 4 - 3 - 4
+        assert is_triangulation(convex4, edges)
+        assert edges.bit_count() == 5 == 3 * 4 - 3 - 4
 
     def test_maximality_equals_edge_count(self, small_sets):
         for ps in small_sets:
@@ -284,7 +282,7 @@ class TestTriangulations:
             target = 3 * ps.n - 3 - h
 
             def check(g):
-                assert is_triangulation(ps, g) == (g.edge_count() == target)
+                assert is_triangulation(ps, g) == (g.bit_count() == target)
 
             enumerate_plane_graphs(ps, check)
 
@@ -300,19 +298,19 @@ class TestTriangulations:
         for ps in small_sets:
             expected = set()
             enumerate_plane_graphs(
-                ps, lambda g: expected.add(g.edges) if is_triangulation(ps, g) else None
+                ps, lambda g: expected.add(g) if is_triangulation(ps, g) else None
             )
-            got = {r.graph.edges for r in enumerate_triangulations(ps).records}
+            got = {r.edges for r in enumerate_triangulations(ps).records}
             assert got == expected
 
     def test_report_order_is_the_scan_order_reversed(self, small_sets):
         for ps in [*small_sets, gen_convex_chain(7), gen_cap_with_apex(7)]:
             scanned = []
             enumerate_plane_graphs(
-                ps, lambda g: scanned.append(g.edges) if is_triangulation(ps, g) else None
+                ps, lambda g: scanned.append(g) if is_triangulation(ps, g) else None
             )
             records = enumerate_triangulations(ps).records
-            assert [r.graph.edges for r in records] == scanned[::-1]
+            assert [r.edges for r in records] == scanned[::-1]
 
     def test_dead_ends_are_not_records(self):
         # The walk meets skipped segments that nothing chosen crosses (dead
@@ -320,14 +318,14 @@ class TestTriangulations:
         ps = gen_triangular_hull_random(12, seed=1)
         stats = enumerate_triangulations(ps)
         assert stats.count == 15632
-        assert all(is_triangulation(ps, r.graph) for r in stats.records)
+        assert all(is_triangulation(ps, r.edges) for r in stats.records)
 
     def test_euler_face_count(self, small_sets):
         # |E| = 3n - 3 - h, hence 2n - 2 - h bounded (triangular) faces
         for ps in small_sets:
             h = len(convex_hull(ps))
             for rec in enumerate_triangulations(ps).records:
-                assert rec.graph.edge_count() == 3 * ps.n - 3 - h
+                assert rec.edges.bit_count() == 3 * ps.n - 3 - h
                 assert sum(rec.histogram) == ps.n
 
     def test_records_histograms(self, convex4):
@@ -344,25 +342,24 @@ class TestTriangulations:
 
 class TestContainingTriangulation:
     def test_fixpoint(self, triangle):
-        t = PlaneGraph(0b111, 3)
-        assert containing_triangulation(triangle, t) == t
+        assert containing_triangulation(triangle, 0b111) == 0b111
 
     def test_empty_triangle(self, triangle):
-        assert containing_triangulation(triangle, PlaneGraph(0, 3)).edges == 0b111
+        assert containing_triangulation(triangle, 0) == 0b111
 
     def test_empty_convex4_lowest_index_rule(self, convex4):
         table, _ = structures(convex4)
-        t = containing_triangulation(convex4, PlaneGraph(0, 4))
+        t = containing_triangulation(convex4, 0)
         expected = 0
         for seg in [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]:
             expected |= 1 << table.index_of[seg]
-        assert t.edges == expected  # hull plus the (0, 2) diagonal
+        assert t == expected  # hull plus the (0, 2) diagonal
 
     def test_contains_and_is_triangulation(self, small_sets):
         for ps in small_sets:
             def check(g):
                 t = containing_triangulation(ps, g)
-                assert t.edges & g.edges == g.edges
+                assert t & g == g
                 assert is_triangulation(ps, t)
 
             enumerate_plane_graphs(ps, check)
@@ -371,15 +368,4 @@ class TestContainingTriangulation:
         table, _ = structures(convex4)
         bad = (1 << table.index_of[(0, 2)]) | (1 << table.index_of[(1, 3)])
         with pytest.raises(ValueError):
-            containing_triangulation(convex4, PlaneGraph(bad, 4))
-
-
-class TestPlaneGraphEncoding:
-    def test_hex_round_trip(self, convex4):
-        for edges in (0, 1, 0b101010, 63):
-            g = PlaneGraph(edges, 4)
-            assert PlaneGraph.from_hex(g.to_hex(), 4) == g
-
-    def test_hex_is_lowercase_lsb0(self):
-        assert PlaneGraph(0, 3).to_hex() == "0"
-        assert PlaneGraph(0b1010, 4).to_hex() == "a"
+            containing_triangulation(convex4, bad)

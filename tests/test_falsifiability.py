@@ -22,11 +22,9 @@ from fractions import Fraction
 import pytest
 
 import planegraphs.certified as certified_mod
-import planegraphs.constructions as constructions_mod
 import planegraphs.verify as verify_mod
 from planegraphs import (
     DegreeExpectation,
-    PlaneGraph,
     containing_triangulation,
     enumerate_plane_graphs,
     expected_degree_vector,
@@ -201,9 +199,9 @@ def test_degree_statistic_verifiers_flag_a_deflated_expectation(monkeypatch):
 
 
 def test_product_law_flags_a_miscount(monkeypatch):
-    count = constructions_mod.count_plane_graphs
+    count = verify_mod.count_plane_graphs
     monkeypatch.setattr(
-        constructions_mod,
+        verify_mod,
         "count_plane_graphs",
         lambda ps, max_n=None: count(ps, max_n=max_n) + (ps.n == 6),
     )
@@ -273,9 +271,9 @@ def test_visibility_and_potential_match_geometric_oracle(ps):
     zero_ving_visibilities = []
     charges = []
 
-    def check(g: PlaneGraph) -> None:
-        edges = decode(g.edges, ps.n)
-        t_edges = decode(containing_triangulation(ps, g).edges, ps.n)
+    def check(g: int) -> None:
+        edges = decode(g, ps.n)
+        t_edges = decode(containing_triangulation(ps, g), ps.n)
         for p in range(ps.n):
             vis = oracle_visibility(ps, edges, p)
             assert visibility(ps, g, p) == vis
