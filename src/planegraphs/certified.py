@@ -2,8 +2,10 @@
 
 All claim checks against irrational bounds go through rational interval
 endpoints: a strict inequality is asserted only when it holds against the
-unfavourable endpoint.  Enclosures for logarithms and pi come from interval
-arithmetic at 60 decimal digits; the Euler-Mascheroni constant is pinned to
+unfavourable endpoint.  Enclosures for logarithms and pi come from mpmath's
+interval arithmetic at 60 decimal digits; mpmath is imported on the first
+call that needs such an enclosure, so runs that never compare against an
+irrational bound do not load it.  The Euler-Mascheroni constant is pinned to
 50 decimal digits (OEIS A001620) and cross-checked against the interval
 value in the test suite.  The asserted margins exceed the enclosure widths
 by many orders of magnitude, so no comparison is ever decided inside the
@@ -13,11 +15,7 @@ error band.
 from __future__ import annotations
 
 from fractions import Fraction
-
-import mpmath.libmp as _libmp
-from mpmath import iv as _iv
-
-_iv.dps = 60
+from functools import cache
 
 Interval = tuple[Fraction, Fraction]
 
@@ -34,10 +32,21 @@ GAMMA: Interval = (
 )
 
 
+@cache
+def _mpmath():
+    """mpmath's interval context, set to 60 digits, and its libmp backend."""
+    import mpmath
+    import mpmath.libmp
+
+    mpmath.iv.dps = 60
+    return mpmath.iv, mpmath.libmp
+
+
 def _to_interval(x) -> Interval:
+    libmp = _mpmath()[1]
     lo, hi = x._mpi_
-    nl, dl = _libmp.to_rational(lo)
-    nh, dh = _libmp.to_rational(hi)
+    nl, dl = libmp.to_rational(lo)
+    nh, dh = libmp.to_rational(hi)
     return Fraction(int(nl), int(dl)), Fraction(int(nh), int(dh))
 
 
@@ -45,19 +54,21 @@ def log_interval(x: int | Fraction) -> Interval:
     """Rational enclosure of ln(x) for exact rational x > 0."""
     if x <= 0:
         raise ValueError("log_interval requires a positive argument")
+    iv = _mpmath()[0]
     if isinstance(x, Fraction):
-        arg = _iv.mpf(x.numerator) / x.denominator
+        arg = iv.mpf(x.numerator) / x.denominator
     else:
-        arg = _iv.mpf(x)
-    return _to_interval(_iv.log(arg))
+        arg = iv.mpf(x)
+    return _to_interval(iv.log(arg))
 
 
 def pi_interval() -> Interval:
-    return _to_interval(_iv.pi)
+    return _to_interval(_mpmath()[0].pi)
 
 
 def ln2_interval() -> Interval:
-    return _to_interval(_iv.log(_iv.mpf(2)))
+    iv = _mpmath()[0]
+    return _to_interval(iv.log(iv.mpf(2)))
 
 
 def harmonic_interval(m: int, shift: int = 220) -> Interval:

@@ -48,7 +48,6 @@ worker count.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -254,6 +253,8 @@ def _pool_point_degrees(p: int) -> tuple[int, ...]:
 
 
 def _pool_degree_rows(ps: PointSet, workers: int) -> list[tuple[int, ...]]:
+    from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay for it
+
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_pool_init, initargs=(ps.coords(),)
     ) as pool:

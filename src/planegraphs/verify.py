@@ -517,8 +517,11 @@ def run_claims(
     claims: list[str] | None = None,
     max_n: int | None = None,
 ) -> list[VerificationReport]:
-    """Run the selected claims (all by default) and return their reports."""
-    selected = claims if claims else ALL_CLAIMS
+    """Run the selected claims (all by default) and return their reports.
+
+    A claim named twice runs once, at its first position.
+    """
+    selected = list(dict.fromkeys(claims)) if claims else ALL_CLAIMS
     unknown = [c for c in selected if c not in POINTSET_CLAIMS and c not in ANALYTIC_CLAIMS]
     if unknown:
         raise ValueError(f"unknown claims: {', '.join(unknown)}")

@@ -143,6 +143,14 @@ class TestVerify:
     def test_unknown_claim(self, tri_file, capsys):
         assert run_cli("verify", tri_file, "--claims", "bogus") == 2
 
+    def test_repeated_claim_runs_once(self, tri_file, capsys):
+        outputs = []
+        for claims in ("harmonic", "harmonic,harmonic"):
+            assert run_cli("verify", tri_file, "--claims", claims) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert len(json.loads(outputs[0])["reports"]) == 2
+
     # Whole-report digests of every report that `dumps_json` writes, and of
     # the charge-audit and triangulations CSV: any change to a byte of a report shows here.  For
     # `verify`, cap_with_apex 6 asserts every claim and convex_chain 5 takes
@@ -325,6 +333,41 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "8"
+
+
+# Runs that compare against no irrational bound and start no pool must not
+# pay to import mpmath or the process-pool machinery.
+_IMPORT_PROBE = """
+import json, sys
+from planegraphs.cli import main
+HEAVY = ("mpmath", "concurrent.futures", "multiprocessing")
+def loaded():
+    return [m for m in HEAVY if m in sys.modules]
+pts = sys.argv[1]
+codes = [main([command, pts]) for command in
+         ("validate", "count", "degrees", "triangulations", "charge-audit")]
+light = loaded()
+codes.append(main(["verify", pts, "--claims", "stirling"]))
+print(json.dumps({"codes": codes, "light": light, "verify": loaded()}), file=sys.stderr)
+"""
+
+
+def test_light_commands_do_not_import_mpmath_or_pools(tmp_path):
+    pts = tmp_path / "ca5.pts"
+    save_pts(gen_cap_with_apex(5), pts)
+    src = str(Path(planegraphs.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(pts)],
+        capture_output=True,
+        text=True,
+        env=os.environ | {"PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stderr.splitlines()[-1])
+    assert result["codes"] == [0] * 6
+    assert result["light"] == []
+    assert "mpmath" in result["verify"]
 
 
 def test_run_config_rejects_bad_worker_count(tri_file, capsys):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import sys
 from fractions import Fraction
 
@@ -228,7 +229,7 @@ class TestDegreeVector:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(enumeration, "_POOL_WS", None)
         enumeration._workspace.cache_clear()
         assert expected_degree_vector(ps, workers=10**6) == serial
