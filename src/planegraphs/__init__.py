@@ -10,13 +10,13 @@ from .geometry import (  # noqa: F401
     PointSet,
     PtsFormatError,
     convex_hull,
+    general_position_violations,
     is_triangular_hull,
     load_pts,
     orientation,
     parse_pts,
     save_pts,
     segments_cross,
-    validate_general_position,
 )
 from .crossings import (  # noqa: F401
     CrossingSets,

@@ -13,13 +13,16 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import combinations
 
 from .enumeration import count_plane_graphs, expected_degree_vector
 from .geometry import (
     COORD_LIMIT,
+    GeneralPositionError,
+    Point,
     PointSet,
     convex_hull,
-    general_position_violations,
+    orientation,
     segments_cross,
 )
 
@@ -78,15 +81,13 @@ def gen_cap_with_apex(n: int) -> PointSet:
     cap = [(k, -k * k) for k in range(1, n)]
     height = 4 * (n - 1) ** 2
     while height <= COORD_LIMIT:
-        coords = [(0, height)] + cap
-        if not general_position_violations(
-            PointSet.from_coords(coords, validate=False).points
-        ):
-            ps = PointSet.from_coords(coords)
-            if _apex_certified(ps):
-                hull = convex_hull(ps)
-                if len(hull) == 3 and set(hull) == {0, 1, n - 1}:
-                    return ps
+        try:
+            ps = PointSet.from_coords([(0, height)] + cap)
+        except GeneralPositionError:
+            pass
+        else:
+            if _apex_certified(ps) and set(convex_hull(ps)) == {0, 1, n - 1}:
+                return ps
         height *= 2
     raise ValueError(f"no certified apex height below the coordinate cap for n={n}")
 
@@ -97,13 +98,15 @@ RANDOM_HULL_SIZE = 4096  # legs of the random sets' right-triangle hull
 def gen_triangular_hull_random(n: int, seed: int) -> PointSet:
     """A large triangle plus n-3 interior lattice points, rejection sampled.
 
-    Deterministic in the seed; raises if the rejection budget runs out.
+    A candidate is kept iff no pair of kept points is collinear with it (a
+    duplicate shows as a zero orientation), so only its own triples are
+    tested.  Deterministic in the seed; raises if the rejection budget runs out.
     """
     if n < 4:
         raise ValueError("needs at least 4 points")
     rng = random.Random(seed)
     size = RANDOM_HULL_SIZE
-    pts = [(0, 0), (size, 0), (0, size)]
+    pts = [Point(0, 0, 0), Point(size, 0, 1), Point(0, size, 2)]
     budget = 20000 * n
     while len(pts) < n:
         budget -= 1
@@ -113,12 +116,10 @@ def gen_triangular_hull_random(n: int, seed: int) -> PointSet:
         y = rng.randrange(1, size - 1)
         if x + y >= size:
             continue
-        candidate = pts + [(x, y)]
-        if not general_position_violations(
-            PointSet.from_coords(candidate, validate=False).points
-        ):
-            pts = candidate
-    return PointSet.from_coords(pts)
+        c = Point(x, y, len(pts))
+        if all(orientation(a, b, c) for a, b in combinations(pts, 2)):
+            pts.append(c)
+    return PointSet(tuple(pts))
 
 
 # Leading term of the asymptotic count of plane graphs on m points in convex

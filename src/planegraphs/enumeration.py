@@ -244,7 +244,7 @@ _POOL_WS: _Workspace | None = None
 
 def _pool_init(coords: tuple[tuple[int, int], ...]) -> None:
     global _POOL_WS
-    _POOL_WS = _Workspace(PointSet.from_coords(coords, validate=False))
+    _POOL_WS = _Workspace(PointSet.from_coords(coords))
 
 
 def _pool_point_degrees(p: int) -> tuple[int, ...]:

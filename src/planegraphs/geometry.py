@@ -5,9 +5,10 @@ predicates in this module, so they are kept exact: coordinates are integers
 capped at |x|, |y| <= 2**20, which keeps every 3x3 orientation determinant
 well inside 64 bits.  There is no floating point anywhere in this module.
 
-Point sets are required to be in general position: all points distinct and no
-three collinear.  Degenerate inputs are rejected with an explicit list of
-violations instead of being silently repaired.
+A :class:`PointSet` is in general position by construction: all points
+distinct and no three collinear.  It validates itself when it is built, and a
+degenerate input raises :class:`GeneralPositionError` with the explicit list
+of violations instead of being silently repaired.
 """
 
 from __future__ import annotations
@@ -62,31 +63,29 @@ class Point:
 
 @dataclass(frozen=True)
 class PointSet:
-    """An immutable, validated point set in general position."""
+    """An immutable point set in general position: it validates itself on construction."""
 
     points: tuple[Point, ...]
+
+    def __post_init__(self):
+        violations = general_position_violations(self.points)
+        if violations:
+            raise GeneralPositionError(violations)
 
     @property
     def n(self) -> int:
         return len(self.points)
 
     @classmethod
-    def from_coords(cls, coords: Iterable[tuple[int, int]], validate: bool = True) -> "PointSet":
-        pts = tuple(Point(int(x), int(y), i) for i, (x, y) in enumerate(coords))
-        if validate:
-            violations = general_position_violations(pts)
-            if violations:
-                raise GeneralPositionError(violations)
-        return cls(pts)
+    def from_coords(cls, coords: Iterable[tuple[int, int]]) -> "PointSet":
+        return cls(tuple(Point(int(x), int(y), i) for i, (x, y) in enumerate(coords)))
 
     def coords(self) -> tuple[tuple[int, int], ...]:
         return tuple((p.x, p.y) for p in self.points)
 
     def drop(self, label: int) -> "PointSet":
         """The point set with one point removed; remaining labels are renumbered."""
-        return PointSet.from_coords(
-            [(p.x, p.y) for p in self.points if p.label != label], validate=False
-        )
+        return PointSet.from_coords([(p.x, p.y) for p in self.points if p.label != label])
 
     def to_pts(self) -> str:
         lines = [str(self.n)]
@@ -149,12 +148,6 @@ def general_position_violations(points: Sequence[Point]) -> list[tuple]:
                 if orientation(points[i], points[j], points[k]) == Orientation.COLLINEAR:
                     violations.append(("collinear", (i, j, k)))
     return violations
-
-
-def validate_general_position(ps: PointSet | Sequence[Point]) -> list[tuple]:
-    """Empty list iff the set is in general position, else all violations."""
-    points = ps.points if isinstance(ps, PointSet) else tuple(ps)
-    return general_position_violations(points)
 
 
 def convex_hull(ps: PointSet) -> tuple[int, ...]:

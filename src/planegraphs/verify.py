@@ -37,8 +37,9 @@ from .certified import (
     PI_LO,
     ln2_interval,
     log_interval,
+    pi_interval,
 )
-from .charging import census_from_degree_row, max_family_charge
+from .charging import _scaled_charge, census_from_degree_row, max_family_charge
 from .constructions import gen_cap_with_apex, gen_convex_chain
 from .enumeration import (
     count_plane_graphs,
@@ -276,9 +277,10 @@ def verify_graph_charge_cap(ps: PointSet, max_n: int | None = None) -> Verificat
     if not _paper_hypotheses(ps):
         return _verdict("graph_charge_cap", desc, None)
     top = n - 1
+    ws = workspace(ps)
 
-    def scaled(rec) -> int:  # 2^top times the charge of the triangulation
-        return sum(count << (top - d) for d, count in enumerate(rec.histogram))
+    def scaled(rec) -> int:  # a triangulation blocks every segment it does not hold
+        return _scaled_charge(ws.table.incident_masks, ws.full & ~rec.edges, top)
 
     rec = max(enumerate_triangulations(ps, max_n=max_n).records, key=scaled)
     max_charge = Fraction(scaled(rec), 1 << top)
@@ -423,8 +425,6 @@ def _robbins_margins(m: int, lnfact: tuple[Fraction, Fraction]) -> tuple[Fractio
              lower end of the upper bound - ln m!); both must be positive.
     The bounds are ln sqrt(2 pi m) + m ln m - m + 1/(12m+1) resp. + 1/(12m).
     """
-    from .certified import pi_interval
-
     pi_lo, pi_hi = pi_interval()
     tpm_lo = log_interval(Fraction(2 * m) * pi_lo)[0]
     tpm_hi = log_interval(Fraction(2 * m) * pi_hi)[1]
@@ -524,7 +524,7 @@ def run_claims(
     selected = list(dict.fromkeys(claims)) if claims else ALL_CLAIMS
     unknown = [c for c in selected if c not in POINTSET_CLAIMS and c not in ANALYTIC_CLAIMS]
     if unknown:
-        raise ValueError(f"unknown claims: {', '.join(unknown)}")
+        raise ValueError(f"unknown claims: {', '.join(map(repr, unknown))}")
     reports: list[VerificationReport] = []
     for name in selected:
         if name in POINTSET_CLAIMS:

@@ -143,6 +143,11 @@ class TestVerify:
     def test_unknown_claim(self, tri_file, capsys):
         assert run_cli("verify", tri_file, "--claims", "bogus") == 2
 
+    @pytest.mark.parametrize("claims", ["v0_upper,", ","])
+    def test_empty_claim_is_named(self, tri_file, capsys, claims):
+        assert run_cli("verify", tri_file, "--claims", claims) == 2
+        assert "error: unknown claims: ''\n" in capsys.readouterr().err
+
     def test_repeated_claim_runs_once(self, tri_file, capsys):
         outputs = []
         for claims in ("harmonic", "harmonic,harmonic"):

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -11,11 +12,12 @@ from planegraphs import (
     gen_cap_with_apex,
     gen_convex_chain,
     gen_triangular_hull_random,
+    general_position_violations,
     is_triangular_hull,
     segments_cross,
-    validate_general_position,
     verify_product_law,
 )
+from planegraphs import constructions, geometry
 from planegraphs.constructions import ConstructionSpec, fn_ratio_table, v0_trend_table
 
 
@@ -26,7 +28,7 @@ class TestConvexChain:
 
     def test_general_position_by_construction(self):
         # distinct parabola abscissas have pairwise distinct slopes
-        assert validate_general_position(gen_convex_chain(9)) == []
+        assert general_position_violations(gen_convex_chain(9).points) == []
 
     def test_coordinate_cap(self):
         with pytest.raises(ValueError):
@@ -89,7 +91,70 @@ class TestTriangularHullRandom:
             assert is_triangular_hull(gen_triangular_hull_random(6, seed=seed))
 
     def test_validates(self):
-        assert validate_general_position(gen_triangular_hull_random(8, seed=5)) == []
+        assert general_position_violations(gen_triangular_hull_random(8, seed=5).points) == []
+
+    def test_one_full_scan_for_the_final_set(self, monkeypatch):
+        # Each candidate is tested against its own triples only; the full
+        # general-position scan runs once, when the finished set is built.
+        scanned = []
+        real = geometry.general_position_violations
+
+        def counting(points):
+            scanned.append(len(points))
+            return real(points)
+
+        monkeypatch.setattr(geometry, "general_position_violations", counting)
+        monkeypatch.setattr(constructions, "general_position_violations", counting, raising=False)
+        gen_triangular_hull_random(20, seed=1)
+        assert scanned == [20]
+
+
+class TestGeneratorPins:
+    # sha256 of `to_pts()` for the benchmark's generated inputs and for a
+    # sweep of sizes and seeds: every generated set must stay byte-identical,
+    # because benchmark references and report digests are computed on them.
+    @pytest.mark.parametrize(
+        "spec, sha256",
+        [
+            (("triangular_hull_random", 7, 1), "c1d3bbc31bc458a7d6d165f9504e7e14150ae1e78e6d0f21381a7eea2fdc34b0"),
+            (("triangular_hull_random", 7, 2), "a3c994cced211cc41077394add0ad60030475440e292e482fa0c7b75bb8b4878"),
+            (("triangular_hull_random", 7, 3), "eedf6a64842fda691b37b0c6cb387fbdd61edc759e0b00136ce6fe05146fcc2f"),
+            (("triangular_hull_random", 12, 1), "e9bea9f5fdad7fb00f99571da88b513e6098d13ef1c4f118c6f5466b043ed0d1"),
+            (("triangular_hull_random", 12, 2), "1a2deb8e7f3a0fe84a77575c2a79a21f18708649b01f2904b9d982a93c33b54e"),
+            (("triangular_hull_random", 12, 3), "620a52f55300403a4d64d7614667f890a9a372980f3ae0bf5a42789a0eca0f16"),
+            (("triangular_hull_random", 13, 1), "e30b489a08d1303c5282d32dbd3e77e927918b1a6d7a671b3b376a82531cbf32"),
+            (("triangular_hull_random", 13, 2), "3f635e9bc3df869b6867b1f7ac61182950ba688ce589a70b0c4c563ef7a1dc00"),
+            (("triangular_hull_random", 13, 3), "522ab3785adc1b25526d00e3e7030038fc9418bc7337c4ba04ab4791cd8765d9"),
+            (("triangular_hull_random", 14, 1), "9aae99ecbb33bc8b0898058ce5d3810d1abc078e4ee748e7380e76786c6f5443"),
+            (("triangular_hull_random", 14, 2), "157edf4b74c9fa98b0d0c70ecc552e9330007d51492ac736a4e46532f544e2bc"),
+            (("triangular_hull_random", 14, 3), "ebf111980779325405997bca3cb061ada0dff4b373b18a00ad89cbaabd1bab57"),
+            (("triangular_hull_random", 16, 1), "1624c8e361e46a007a4b5d67a599218034091f4c8c2a1870ba92370d726f7935"),
+            (("triangular_hull_random", 16, 2), "0498533d4d9952ad9fd325c87b3a1c3444e40e3887321be92a8e467fba8c6f53"),
+            (("triangular_hull_random", 16, 3), "a3355d361f1c6260ce9287193175b4dcf3ee74255ef390322e6533d0270fbce4"),
+            (("cap_with_apex", 7, None), "5d5352f5f80b11025d9480231b26d6629870cfb25a0a6ee5c4e0e1366bc428a2"),
+            (("convex_chain", 20, None), "f07b73fb72915d1bc3cc69b4d17bd9865eb3aaba902b6cfb3d15e6dedcb23b4c"),
+            (("convex_chain", 21, None), "2080c191b494fada2ad37b78ea9f4abebfb0a3a5becd54c76b0bd141919d8037"),
+        ],
+    )
+    def test_benchmark_inputs(self, spec, sha256):
+        assert ConstructionSpec(*spec).build().sha256() == sha256
+
+    def test_random_sweep(self):
+        digest = hashlib.sha256()
+        for n in range(4, 25):
+            for seed in range(6):
+                digest.update(gen_triangular_hull_random(n, seed).to_pts().encode())
+        assert digest.hexdigest() == (
+            "28163385aa47159ae14707a75de9591f098ec5fa9f27639f5c50ab3bab1012f0"
+        )
+
+    def test_cap_with_apex_sweep(self):
+        digest = hashlib.sha256()
+        for n in range(4, 25):
+            digest.update(gen_cap_with_apex(n).to_pts().encode())
+        assert digest.hexdigest() == (
+            "35ea5e55b3fd3a5583d06cc7da36b1348e682a2d21b8b7b4a5f46e3c569610e6"
+        )
 
 
 class TestConstructionSpec:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from planegraphs import (
     EnumerationLimitError,
+    Point,
     PointSet,
     containing_triangulation,
     convex_hull,
@@ -19,8 +20,8 @@ from planegraphs import (
     gen_cap_with_apex,
     gen_convex_chain,
     gen_triangular_hull_random,
+    general_position_violations,
     is_triangulation,
-    validate_general_position,
 )
 from planegraphs import enumeration
 from planegraphs.crossings import structures
@@ -247,7 +248,9 @@ def relabelled_sets(draw):
             min_size=6,
             max_size=8,
             unique=True,
-        ).filter(lambda c: not validate_general_position(PointSet.from_coords(c, validate=False)))
+        ).filter(lambda c: not general_position_violations(
+            [Point(x, y, i) for i, (x, y) in enumerate(c)]
+        ))
     )
     perm = draw(st.permutations(range(len(pts))))
     return PointSet.from_coords(pts), PointSet.from_coords([pts[i] for i in perm]), perm

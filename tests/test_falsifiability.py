@@ -21,7 +21,6 @@ from fractions import Fraction
 
 import pytest
 
-import planegraphs.certified as certified_mod
 import planegraphs.verify as verify_mod
 from planegraphs import (
     DegreeExpectation,
@@ -234,7 +233,7 @@ def test_harmonic_gap_flags_ln2_at_one_half(monkeypatch):
 
 def test_stirling_flags_pi_at_four(monkeypatch):
     four = Fraction(4)
-    monkeypatch.setattr(certified_mod, "pi_interval", lambda: (four, four))
+    monkeypatch.setattr(verify_mod, "pi_interval", lambda: (four, four))
     report = stirling_sweep(10)
     assert report.status == VIOLATED
     assert report.witness == {"m": 1}

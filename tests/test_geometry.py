@@ -15,8 +15,8 @@ from planegraphs import (
     is_triangular_hull,
     orientation,
     parse_pts,
+    general_position_violations,
     segments_cross,
-    validate_general_position,
 )
 from conftest import coords, segments_cross_oracle
 
@@ -94,20 +94,30 @@ class TestSegmentsCross:
 
 class TestValidation:
     def test_ok(self):
-        assert validate_general_position(coords((0, 0), (1, 0), (0, 1))) == []
+        assert general_position_violations(coords((0, 0), (1, 0), (0, 1)).points) == []
 
     def test_collinear_triple_listed(self):
         pts = tuple(Point(x, y, i) for i, (x, y) in enumerate([(0, 0), (1, 1), (2, 2)]))
-        assert validate_general_position(pts) == [("collinear", (0, 1, 2))]
+        assert general_position_violations(pts) == [("collinear", (0, 1, 2))]
 
     def test_duplicate_listed(self):
         pts = tuple(Point(x, y, i) for i, (x, y) in enumerate([(0, 0), (0, 0), (1, 1)]))
-        violations = validate_general_position(pts)
+        violations = general_position_violations(pts)
         assert ("duplicate", (0, 1)) in violations
 
     def test_from_coords_raises(self):
         with pytest.raises(GeneralPositionError):
             PointSet.from_coords([(0, 0), (1, 1), (2, 2)])
+
+    def test_constructor_rejects_collinear_triple(self):
+        with pytest.raises(GeneralPositionError) as err:
+            PointSet((Point(0, 0, 0), Point(1, 1, 1), Point(2, 2, 2)))
+        assert err.value.violations == [("collinear", (0, 1, 2))]
+
+    def test_constructor_rejects_duplicate_point(self):
+        with pytest.raises(GeneralPositionError) as err:
+            PointSet((Point(0, 0, 0), Point(4, 0, 1), Point(0, 4, 2), Point(4, 0, 3)))
+        assert ("duplicate", (1, 3)) in err.value.violations
 
     def test_coordinate_cap(self):
         with pytest.raises(ValueError):

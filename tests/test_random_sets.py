@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from planegraphs import (
+    Point,
     PointSet,
     count_plane_graphs,
     count_plane_graphs_bruteforce,
@@ -18,7 +19,7 @@ from planegraphs import (
     expected_degree_vector,
     family_census,
     gen_triangular_hull_random,
-    validate_general_position,
+    general_position_violations,
 )
 
 from conftest import brute_degree_rows
@@ -32,8 +33,10 @@ def point_sets(min_n=4, max_n=6, span=24):
             max_size=max_n,
             unique=True,
         )
-        .map(lambda coords: PointSet.from_coords(coords, validate=False))
-        .filter(lambda ps: not validate_general_position(ps))
+        .filter(lambda coords: not general_position_violations(
+            [Point(x, y, i) for i, (x, y) in enumerate(coords)]
+        ))
+        .map(PointSet.from_coords)
     )
 
 
