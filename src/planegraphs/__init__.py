@@ -33,7 +33,6 @@ from .enumeration import (  # noqa: F401
     TriangulationStats,
     containing_triangulation,
     count_plane_graphs,
-    count_plane_graphs_bruteforce,
     enumerate_plane_graphs,
     enumerate_triangulations,
     expected_degree_vector,

@@ -8,10 +8,11 @@ depth or memory exhausted).  Reports are byte-identical across runs.
 
 The point-count cap is `--max-n`, else $PLANEGRAPH_MAX_N, else
 ``DEFAULT_MAX_N``, and `--force` lifts it to the input's n.  `--workers` is
-on `degrees` alone, whose per-point rows it spreads over processes; the
-report does not depend on it.  `--format` is on every report command but
-`verify`, which writes JSON alone; `count` always prints pg on stdout, and
-`--format` shapes its `--out` report.
+on `degrees` alone; it must be at least 1 and starts nothing, since every
+degree row comes from one serial pass, so the report does not depend on
+it.  `--format` is on every report command but `verify`, which writes JSON
+alone; `count` always prints pg on stdout, and `--format` shapes its
+`--out` report.
 """
 
 from __future__ import annotations
@@ -242,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("degrees", help="exact expected-degree statistics")
     _add_common(p)
     p.add_argument(
-        "--workers", type=int, default=1, help="worker processes for the degree rows (default 1)"
+        "--workers", type=int, default=1, help="starts nothing: one serial pass (default 1)"
     )
     p.set_defaults(func=cmd_degrees)
 

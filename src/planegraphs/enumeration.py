@@ -34,16 +34,18 @@ conflict bit-vectors of :mod:`planegraphs.crossings`:
   leftover components of different branches the same masks, so the memo
   hits: convex_chain(20), the worst case, ends with 7,104 entries, where a
   pivot chosen afresh in each component leaves 50,734.  Counting runs
-  serially.  Degree statistics come from one weighted pass per point p: the
-  same routine gives each segment at p the weight x, so a lone weighted
-  segment contributes (1 + x) and a weighted branch segment adds x times
-  its "with" branch.  The result is p's degree polynomial sum_d row[d] x^d,
-  packed into one integer at x = 2^(m+1), whose digits are the row.  The
-  per-point rows may be spread over worker processes.
+  serially.  Degree statistics come from one more pass of the same
+  recursion, memoized by component for that call alone.  For a component C
+  it keeps the plain count c(C) and, for each point p, p's degree
+  polynomial over C, sum_d c_d x^d with c_d the independent sets of C that
+  hold d segments at p.  A point that touches no segment of C takes c(C);
+  components multiply point by point; a lone segment contributes (1 + x) at
+  its endpoints and 2 elsewhere; and the branch on a segment (a, b) adds x
+  times its "with" branch at a and b.  Each polynomial is packed into one
+  integer at x = 2^(m+1), whose digits are p's degree row.
 
-All aggregates are exact big integers / rationals, and parallel runs return
-per-point integer rows in point order, so results are bit-identical for any
-worker count.
+All aggregates are exact big integers / rationals, so results are
+bit-identical across runs.
 """
 
 from __future__ import annotations
@@ -51,13 +53,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, mul
 from typing import Callable, Iterator
 
 from .crossings import structures
 from .geometry import PointSet
 
 DEFAULT_MAX_N = 12
-BRUTEFORCE_SEGMENT_LIMIT = 22
 
 
 class EnumerationLimitError(RuntimeError):
@@ -118,26 +120,17 @@ class _Workspace:
 
     # -- memoized independent-set counting on a fixed segment order ---------
 
-    def count_independent(self, weighted: int = 0) -> int:
-        """Number of plane graphs, or, with `weighted`, their packed polynomial
-        sum_d c_d x^d, where c_d counts the graphs holding d segments of
-        `weighted` (a mask over segment indices).
-
-        The polynomial is evaluated at x = 2^B with B = ``self.digit_bits`` =
-        m + 1.  Every coefficient counts edge sets, so it is at most 2^m < 2^B,
-        and each c_d is the B-bit digit d of the result.  A digit that carried
-        would break ``sum(row) == pg`` in :func:`expected_degree_vector`.
+    def count_independent(self) -> int:
+        """Number of plane graphs.
 
         The count runs in rank space: bit ``rank[k]`` stands for segment k,
         with the segments sorted by descending crossing count, ties by index,
         so the lowest bit of any mask is its segment with the most crossings.
         :meth:`_count` splits the segments into connected components and
-        branches on the lowest bit of each.  Components without a weighted
-        segment have plain counts and go to the shared ``self.memo``; the
-        others go to a memo of this call alone.
+        branches on the lowest bit of each; the components go to the shared
+        ``self.memo``.
         """
-        ranked = self._ranked(weighted)
-        return self._count(self.full, ranked, {} if ranked else self.memo)
+        return self._count(self.full)
 
     def _ranked(self, mask: int) -> int:
         """`mask`, a set of segment indices, in rank space."""
@@ -149,15 +142,15 @@ class _Workspace:
             mask ^= lsb
         return out
 
-    def _count(self, avail: int, weighted: int, memo: dict[int, int]) -> int:
+    def _count(self, avail: int) -> int:
         """The count of :meth:`count_independent` over the rank-space mask
         `avail`: one pass splits it into connected components, which multiply.
-        A lone segment is a factor 2, or (1 + x) if weighted; any other
-        component branches on its lowest bit, without it and with it (its
-        crossings removed, times x if weighted)."""
+        A lone segment is a factor 2; any other component branches on its
+        lowest bit, without it and with it (its crossings removed)."""
         rcross = self.rcross
+        memo = self.memo
         result = 1
-        single = single_weighted = 0
+        single = 0
         while avail:
             bit = avail & -avail
             comp = frontier = bit
@@ -171,24 +164,88 @@ class _Workspace:
                 comp |= frontier
             avail ^= comp
             if comp == bit:
-                if weighted & bit:
-                    single_weighted += 1
-                else:
-                    single += 1
+                single += 1
                 continue
-            table = memo if weighted & comp else self.memo
-            count = table.get(comp)
+            count = memo.get(comp)
             if count is None:
                 rest = comp ^ bit
-                with_it = self._count(rest & ~rcross[bit.bit_length() - 1], weighted, memo)
-                if weighted & bit:
-                    with_it <<= self.digit_bits
-                count = self._count(rest, weighted, memo) + with_it
-                table[comp] = count
+                with_it = self._count(rest & ~rcross[bit.bit_length() - 1])
+                count = self._count(rest) + with_it
+                memo[comp] = count
             result *= count
-        if single_weighted:
-            result *= ((1 << self.digit_bits) + 1) ** single_weighted
         return result << single
+
+    # -- every point's degree polynomial from one memoized pass --------------
+
+    def degree_polynomials(self) -> list[int]:
+        """Entry p is point p's packed degree polynomial sum_d c_d x^d, where
+        c_d counts the plane graphs in which p has degree d; entry n is the
+        plain count pg.
+
+        The polynomial is evaluated at x = 2^B with B = ``self.digit_bits`` =
+        m + 1.  Every coefficient counts edge sets, so it is at most 2^m < 2^B,
+        and each c_d is the B-bit digit d of the result.  A digit that carried
+        would break ``sum(row) == pg`` in :func:`expected_degree_vector`.
+
+        :meth:`_polynomials` walks the recursion of :meth:`_count` once for all
+        points, with a memo of this call alone, so ``self.memo`` keeps plain
+        counts only.
+        """
+        ends = [(0, 0)] * self.m
+        for k, r in enumerate(self.rank):
+            ends[r] = self.table.segments[k]
+        return self._polynomials(self.full, ends, {})
+
+    def _polynomials(
+        self, avail: int, ends: list[tuple[int, int]], memo: dict[int, list[int]]
+    ) -> list[int]:
+        """:meth:`degree_polynomials` over the rank-space mask `avail`, whose
+        bit r is the segment with endpoints ``ends[r]``.
+
+        Components multiply entry by entry; a point that touches no segment
+        of a component takes its plain count, the same as entry n.  The
+        branch on the lowest bit e = (a, b) adds its "with" branch to its
+        "without" branch, shifted by one digit at a and b.  A lone segment
+        contributes (1 + x) at its two endpoints and 2 everywhere else.
+        """
+        rcross = self.rcross
+        result = None
+        lone = []
+        while avail:
+            bit = avail & -avail
+            comp = frontier = bit
+            while frontier:
+                grow = 0
+                while frontier:
+                    lsb = frontier & -frontier
+                    grow |= rcross[lsb.bit_length() - 1]
+                    frontier ^= lsb
+                frontier = grow & avail & ~comp
+                comp |= frontier
+            avail ^= comp
+            r = bit.bit_length() - 1
+            if comp == bit:
+                lone.append(r)
+                continue
+            polys = memo.get(comp)
+            if polys is None:
+                rest = comp ^ bit
+                without = self._polynomials(rest, ends, memo)
+                with_it = self._polynomials(rest & ~rcross[r], ends, memo)
+                polys = list(map(add, without, with_it))
+                for p in ends[r]:
+                    polys[p] = without[p] + (with_it[p] << self.digit_bits)
+                memo[comp] = polys
+            result = polys if result is None else list(map(mul, result, polys))
+        if result is None:
+            result = [1] * (self.table.n + 1)
+        if lone:
+            result = [u << len(lone) for u in result]
+            x1 = (1 << self.digit_bits) + 1
+            for r in lone:
+                for p in ends[r]:
+                    result[p] = (result[p] >> 1) * x1
+        return result
 
     # -- streaming enumeration over a restricted universe --------------------
 
@@ -234,34 +291,6 @@ def workspace(ps: PointSet) -> _Workspace:
 
 
 # ---------------------------------------------------------------------------
-# Worker-process plumbing for per-point degree rows.  Tasks carry only a
-# point label; the point set is rebuilt once per worker, and rows come back
-# in point order, so aggregates cannot depend on scheduling.
-# ---------------------------------------------------------------------------
-
-_POOL_WS: _Workspace | None = None
-
-
-def _pool_init(coords: tuple[tuple[int, int], ...]) -> None:
-    global _POOL_WS
-    _POOL_WS = _Workspace(PointSet.from_coords(coords))
-
-
-def _pool_point_degrees(p: int) -> tuple[int, ...]:
-    assert _POOL_WS is not None
-    return _point_degree_row(_POOL_WS, p)
-
-
-def _pool_degree_rows(ps: PointSet, workers: int) -> list[tuple[int, ...]]:
-    from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay for it
-
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_pool_init, initargs=(ps.coords(),)
-    ) as pool:
-        return list(pool.map(_pool_point_degrees, range(ps.n)))
-
-
-# ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
 
@@ -292,44 +321,6 @@ def count_plane_graphs(ps: PointSet, max_n: int | None = None) -> int:
     return ws.count_independent()
 
 
-def count_plane_graphs_bruteforce(ps: PointSet) -> int:
-    """Independent oracle: scan all 2^m edge subsets.  Test use only."""
-    ws = workspace(ps)
-    m = ws.m
-    if m > BRUTEFORCE_SEGMENT_LIMIT:
-        raise EnumerationLimitError(
-            f"brute force limited to {BRUTEFORCE_SEGMENT_LIMIT} segments, got {m}"
-        )
-    cross = ws.cross
-    # valid[mask] extends valid[mask without top bit] iff the top segment
-    # conflicts with nothing below it.
-    valid = bytearray(1 << m)
-    valid[0] = 1
-    count = 1
-    for mask in range(1, 1 << m):
-        top = mask.bit_length() - 1
-        rest = mask ^ (1 << top)
-        if valid[rest] and not (cross[top] & rest):
-            valid[mask] = 1
-            count += 1
-    return count
-
-
-def _point_degree_row(ws: _Workspace, p: int) -> tuple[int, ...]:
-    """row[d] = number of plane graphs in which point p has degree d.
-
-    One weighted count over the whole universe, with weight x on the
-    segments at p, gives sum_d row[d] x^d packed at x = 2^B, B = m + 1 (see
-    :meth:`_Workspace.count_independent`).  No row entry exceeds pg <= 2^m,
-    so the B-bit digits do not carry; the ``sum(row) == pg`` assertion in
-    :func:`expected_degree_vector` would catch one that did.
-    """
-    poly = ws.count_independent(ws.table.incident_masks[p])
-    bits = ws.digit_bits
-    digit = (1 << bits) - 1
-    return tuple(poly >> (d * bits) & digit for d in range(ws.table.n))
-
-
 def expected_degree_vector(
     ps: PointSet,
     max_n: int | None = None,
@@ -337,9 +328,11 @@ def expected_degree_vector(
 ) -> DegreeExpectation:
     """Exact v-hat vector: expected number of degree-i vertices for each i.
 
-    The per-point rows are spread over min(workers, n) processes, serially
-    when that is at most 1.  The result is kept on the point set's
-    workspace, so a second call returns it without a count.
+    Every point's degree row is read off the digits of its packed polynomial
+    from one serial pass, :meth:`_Workspace.degree_polynomials`.  `workers`
+    must be at least 1 and starts nothing: the rows come from that pass for
+    any value.  The result is kept on the point set's workspace, so a second
+    call returns it without a count.
     """
     if workers < 1:
         raise ValueError("worker count must be >= 1")
@@ -348,11 +341,10 @@ def expected_degree_vector(
     if ws.degrees is not None:
         return ws.degrees
     n = ps.n
-    workers = min(workers, n)
-    if workers <= 1:
-        rows = [_point_degree_row(ws, p) for p in range(n)]
-    else:
-        rows = _pool_degree_rows(ps, workers)
+    bits = ws.digit_bits
+    digit = (1 << bits) - 1
+    polys = ws.degree_polynomials()[:n]
+    rows = [tuple(poly >> (d * bits) & digit for d in range(n)) for poly in polys]
     pg = ws.count_independent()
     for row in rows:
         if sum(row) != pg:

@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the production code paths: rational
 line-intersection for crossing tests, an interval-decomposition convolution
 recurrence for convex-position counts, hull-of-four for convex quadruples,
-and plain visitor enumeration for degree histograms.
+a scan of all 2^m edge subsets for plane-graph counts, and plain visitor
+enumeration for degree histograms.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from math import comb
 import pytest
 
 from planegraphs import (
+    EnumerationLimitError,
     PointSet,
     enumerate_plane_graphs,
     gen_cap_with_apex,
@@ -22,9 +24,11 @@ from planegraphs import (
     gen_triangular_hull_random,
 )
 from planegraphs.crossings import structures
+from planegraphs.enumeration import workspace
 
 # Seeds are frozen so every run exercises identical point sets.
 RANDOM_SEEDS = {5: (1, 2), 6: (1, 2), 7: (1, 2), 8: (1, 2), 9: (1,)}
+BRUTEFORCE_SEGMENT_LIMIT = 22
 
 
 def frames_below() -> int:
@@ -113,6 +117,29 @@ def count_convex_quadruples(ps: PointSet) -> int:
                         for x in range(4)
                     ):
                         count += 1
+    return count
+
+
+def count_plane_graphs_bruteforce(ps: PointSet) -> int:
+    """Independent oracle: scan all 2^m edge subsets."""
+    ws = workspace(ps)
+    m = ws.m
+    if m > BRUTEFORCE_SEGMENT_LIMIT:
+        raise EnumerationLimitError(
+            f"brute force limited to {BRUTEFORCE_SEGMENT_LIMIT} segments, got {m}"
+        )
+    cross = ws.cross
+    # valid[mask] extends valid[mask without top bit] iff the top segment
+    # conflicts with nothing below it.
+    valid = bytearray(1 << m)
+    valid[0] = 1
+    count = 1
+    for mask in range(1, 1 << m):
+        top = mask.bit_length() - 1
+        rest = mask ^ (1 << top)
+        if valid[rest] and not (cross[top] & rest):
+            valid[mask] = 1
+            count += 1
     return count
 
 

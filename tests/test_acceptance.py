@@ -17,7 +17,6 @@ import pytest
 
 from planegraphs import (
     count_plane_graphs,
-    count_plane_graphs_bruteforce,
     enumerate_plane_graphs,
     enumerate_triangulations,
     expected_degree_vector,
@@ -50,7 +49,7 @@ from planegraphs.verify import (
     ving_charge_argmax_sweep,
 )
 
-from conftest import catalan
+from conftest import catalan, count_plane_graphs_bruteforce
 
 
 @contextmanager

@@ -182,12 +182,15 @@ class TestVerify:
              "33b1bb2fbd3ff5d81b1d56053925be3ab5367b3da4bb32059928f5a642119f8c"),
             (("triangular_hull_random", 9, "--seed", 1), ("degrees",), 0,
              "b2337f46b24718ac0b1061de8e5d729f8e222805176b44cb9e79c756188d72ad"),
+            (("triangular_hull_random", 14, "--seed", 1), ("degrees", "--max-n", 14), 0,
+             "21fa6b946f147da1324872498cbd5dd9f090ac7b77d6274bbb5abb2831d58ad9"),
             (None, ("construction-report", 7, "--format", "json"), 0,
              "82b7b1d19a6e06d3e31e1fcc8b8976f7807fde2459c31ad4c7b9b28c3071c8a5"),
         ],
         ids=["cap_apex6", "convex5", "random7_seed1", "audit_cap_apex6_json",
              "audit_random7_seed1_json", "audit_cap_apex6_csv", "triangulations_random8_seed1",
-             "triangulations_random8_seed1_csv", "degrees_random9_seed1", "construction_report7_json"],
+             "triangulations_random8_seed1_csv", "degrees_random9_seed1", "degrees_random14_seed1",
+             "construction_report7_json"],
     )
     def test_report_bytes_pinned(self, gen_args, argv, code, sha256, tmp_path, capsys):
         if gen_args is None:
@@ -340,8 +343,9 @@ def test_console_script_entry_point(tmp_path):
     assert proc.stdout.strip() == "8"
 
 
-# Runs that compare against no irrational bound and start no pool must not
-# pay to import mpmath or the process-pool machinery.
+# Runs that compare against no irrational bound must not pay to import
+# mpmath, and no run loads the process-pool machinery: `degrees --workers 2`
+# computes its rows in the same serial pass as `--workers 1`.
 _IMPORT_PROBE = """
 import json, sys
 from planegraphs.cli import main
@@ -352,8 +356,11 @@ pts = sys.argv[1]
 codes = [main([command, pts]) for command in
          ("validate", "count", "degrees", "triangulations", "charge-audit")]
 light = loaded()
+codes.append(main(["degrees", pts, "--workers", "2"]))
+workers = loaded()
 codes.append(main(["verify", pts, "--claims", "stirling"]))
-print(json.dumps({"codes": codes, "light": light, "verify": loaded()}), file=sys.stderr)
+print(json.dumps({"codes": codes, "light": light, "workers": workers, "verify": loaded()}),
+      file=sys.stderr)
 """
 
 
@@ -370,8 +377,9 @@ def test_light_commands_do_not_import_mpmath_or_pools(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stderr.splitlines()[-1])
-    assert result["codes"] == [0] * 6
+    assert result["codes"] == [0] * 7
     assert result["light"] == []
+    assert result["workers"] == []
     assert "mpmath" in result["verify"]
 
 

@@ -1,4 +1,3 @@
-import concurrent.futures
 import sys
 from fractions import Fraction
 
@@ -13,7 +12,6 @@ from planegraphs import (
     containing_triangulation,
     convex_hull,
     count_plane_graphs,
-    count_plane_graphs_bruteforce,
     enumerate_plane_graphs,
     enumerate_triangulations,
     expected_degree_vector,
@@ -32,6 +30,7 @@ from conftest import (
     catalan,
     convex_count_recurrence,
     coords,
+    count_plane_graphs_bruteforce,
     frames_below,
 )
 
@@ -168,8 +167,11 @@ class TestDegreeVector:
         assert dv.vhat == (Fraction(3, 4), Fraction(3, 2), Fraction(3, 4))
 
     def test_single_point(self):
-        dv = expected_degree_vector(PointSet.from_coords([(0, 0)]))
+        ps = PointSet.from_coords([(0, 0)])
+        dv = expected_degree_vector(ps)
         assert dv.pg == 1 and dv.vhat == (Fraction(1),)
+        with pytest.raises(ValueError, match="worker count"):
+            expected_degree_vector(ps, workers=0)
 
     def test_sum_identities(self, small_sets):
         for ps in small_sets:
@@ -210,33 +212,16 @@ class TestDegreeVector:
         enumeration._workspace.cache_clear()  # count again, not from the cache
         assert pooled == expected_degree_vector(ps)
 
-    def test_pool_is_bounded_by_the_point_count(self, monkeypatch):
+    def test_a_flipped_digit_breaks_the_partition(self, monkeypatch):
+        # one packed row off by one in one digit no longer sums to pg
         ps = gen_cap_with_apex(6)
-        serial = expected_degree_vector(ps)
-        requested = []
-
-        class InProcessPool:
-            # stands in for ProcessPoolExecutor: no process is started
-            def __init__(self, max_workers, initializer, initargs):
-                requested.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(enumeration, "_POOL_WS", None)
+        ws = enumeration.workspace(ps)
+        polys = ws.degree_polynomials()
+        polys[2] ^= 1 << (3 * ws.digit_bits)
+        monkeypatch.setattr(enumeration._Workspace, "degree_polynomials", lambda ws: polys)
         enumeration._workspace.cache_clear()
-        assert expected_degree_vector(ps, workers=10**6) == serial
-        assert requested == [ps.n]
-        with pytest.raises(ValueError, match="worker count"):
-            expected_degree_vector(ps, workers=0)
+        with pytest.raises(AssertionError, match="partition the census"):
+            expected_degree_vector(ps)
 
 
 @st.composite

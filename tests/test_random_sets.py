@@ -14,7 +14,6 @@ from planegraphs import (
     Point,
     PointSet,
     count_plane_graphs,
-    count_plane_graphs_bruteforce,
     enumerate_plane_graphs,
     expected_degree_vector,
     family_census,
@@ -22,7 +21,7 @@ from planegraphs import (
     general_position_violations,
 )
 
-from conftest import brute_degree_rows
+from conftest import brute_degree_rows, count_plane_graphs_bruteforce
 
 
 def point_sets(min_n=4, max_n=6, span=24):

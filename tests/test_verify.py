@@ -233,18 +233,18 @@ class TestRunClaims:
         from planegraphs import charge_audit
 
         enumeration_mod._workspace.cache_clear()  # start without a cached degree vector
-        counted_points = []
-        row = enumeration_mod._point_degree_row
+        passes = []
+        degree_polynomials = enumeration_mod._Workspace.degree_polynomials
 
-        def counted(ws, p):
-            counted_points.append(p)
-            return row(ws, p)
+        def counted(ws):
+            passes.append(ws.ps)
+            return degree_polynomials(ws)
 
-        monkeypatch.setattr(enumeration_mod, "_point_degree_row", counted)
+        monkeypatch.setattr(enumeration_mod._Workspace, "degree_polynomials", counted)
         ps = gen_cap_with_apex(6)
         run_claims(ps)
         charge_audit(ps)
-        assert counted_points == list(range(ps.n))
+        assert passes == [ps]
 
     def test_unknown_claim_rejected(self, triangle):
         with pytest.raises(ValueError):
