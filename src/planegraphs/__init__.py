@@ -26,7 +26,6 @@ from .crossings import (  # noqa: F401
     build_segment_table,
 )
 from .enumeration import (  # noqa: F401
-    DEFAULT_MAX_N,
     DegreeExpectation,
     EnumerationLimitError,
     TriangulationRecord,

@@ -176,16 +176,16 @@ def census_from_degree_row(row: tuple[int, ...]) -> dict[int, int]:
     return census
 
 
-def family_census(ps: PointSet, p: int, max_n: int | None = None) -> dict[int, int]:
+def family_census(ps: PointSet, p: int) -> dict[int, int]:
     """census[j] = number of families of point p with visibility j.
 
     Counted, not enumerated: the inverse binomial transform of p's degree
     row in the cached degree vector (see :func:`census_from_degree_row`).
     """
-    return census_from_degree_row(expected_degree_vector(ps, max_n=max_n).per_point[p])
+    return census_from_degree_row(expected_degree_vector(ps).per_point[p])
 
 
-def charge_audit(ps: PointSet, max_n: int | None = None) -> dict:
+def charge_audit(ps: PointSet) -> dict:
     """Per-graph charges, by one scan over every plane graph, plus pg, the
     0-ving count and the family census per point, from the counting DP.
 
@@ -201,7 +201,7 @@ def charge_audit(ps: PointSet, max_n: int | None = None) -> dict:
     mask, "num": decimal string, "exp": int}``, the charge num / 2^exp in
     lowest terms.
     """
-    dv = expected_degree_vector(ps, max_n=max_n)
+    dv = expected_degree_vector(ps)
     zero_vings = dv.ving_counts[0] if ps.n else 0
     ws = workspace(ps)
     inc = ws.table.incident_masks

@@ -6,13 +6,17 @@ verified claim is violated, 2 on usage or validation errors, on paths that
 cannot be read or written, and on inputs too large to finish (recursion
 depth or memory exhausted).  Reports are byte-identical across runs.
 
-The point-count cap is `--max-n`, else $PLANEGRAPH_MAX_N, else
-``DEFAULT_MAX_N``, and `--force` lifts it to the input's n.  `--workers` is
-on `degrees` alone; it must be at least 1 and starts nothing, since every
-degree row comes from one serial pass, so the report does not depend on
-it.  `--format` is on every report command but `verify`, which writes JSON
-alone; `count` always prints pg on stdout, and `--format` shapes its
-`--out` report.
+The point-count cap is a property of the input, and this module alone
+knows it: `--max-n`, else $PLANEGRAPH_MAX_N, else ``DEFAULT_MAX_N``;
+`--force` lifts it.  It is checked once, right after the input is read (the
+.pts file, or `construction-report`'s n_max) and before any work starts, so
+the same n gets the same refusal whatever `--claims` selects, and a refused
+run writes nothing to stdout.  The library functions take no cap.
+`--workers` is on `degrees` alone; it must be at least 1 and starts
+nothing, since every degree row comes from one serial pass, so the report
+does not depend on it.  `--format` is on every report command but
+`verify`, which writes JSON alone; `count` always prints pg on stdout, and
+`--format` shapes its `--out` report.
 """
 
 from __future__ import annotations
@@ -25,22 +29,22 @@ from pathlib import Path
 from .constructions import ConstructionSpec, fn_ratio_table, v0_trend_table
 from .charging import charge_audit
 from .enumeration import (
-    DEFAULT_MAX_N,
     EnumerationLimitError,
     count_plane_graphs,
     enumerate_triangulations,
     expected_degree_vector,
 )
-from .geometry import GeneralPositionError, load_pts
+from .geometry import GeneralPositionError, PointSet, load_pts
 from .reports import dumps_csv, dumps_json, envelope
 from .verify import ALL_CLAIMS, run_claims, verify_product_law
 
+DEFAULT_MAX_N = 12
 ENV_MAX_N = "PLANEGRAPH_MAX_N"
 
 
-def _cap(args: argparse.Namespace, n: int) -> int:
-    """The effective point cap: `--max-n`, else $PLANEGRAPH_MAX_N, else
-    ``DEFAULT_MAX_N``; `--force` raises it to n."""
+def _check_cap(args: argparse.Namespace, n: int) -> None:
+    """Refuse n points above the cap: `--max-n`, else $PLANEGRAPH_MAX_N, else
+    ``DEFAULT_MAX_N``.  `--force` lifts it."""
     cap = args.max_n
     if cap is None:
         env = os.environ.get(ENV_MAX_N)
@@ -48,7 +52,15 @@ def _cap(args: argparse.Namespace, n: int) -> int:
             cap = int(env) if env else DEFAULT_MAX_N
         except ValueError:
             raise ValueError(f"{ENV_MAX_N} must be an integer, got {env!r}") from None
-    return max(cap, n) if args.force else cap
+    if n > cap and not args.force:
+        raise EnumerationLimitError(f"n={n} exceeds the cap of {cap}")
+
+
+def _load(args: argparse.Namespace) -> PointSet:
+    """The input point set, refused if it exceeds the cap."""
+    ps = load_pts(args.pts)
+    _check_cap(args, ps.n)
+    return ps
 
 
 def _add_common(parser: argparse.ArgumentParser, formats: bool = True) -> None:
@@ -79,8 +91,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_count(args) -> int:
-    ps = load_pts(args.pts)
-    pg = count_plane_graphs(ps, max_n=_cap(args, ps.n))
+    ps = _load(args)
+    pg = count_plane_graphs(ps)
     print(pg)
     if args.out is not None:
         if args.fmt == "json":
@@ -92,8 +104,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_degrees(args) -> int:
-    ps = load_pts(args.pts)
-    dv = expected_degree_vector(ps, max_n=_cap(args, ps.n), workers=args.workers)
+    ps = _load(args)
+    dv = expected_degree_vector(ps, workers=args.workers)
     if args.fmt == "json":
         payload = envelope("degrees", ps) | {
             "n": ps.n,
@@ -115,8 +127,8 @@ def cmd_degrees(args) -> int:
 
 
 def cmd_triangulations(args) -> int:
-    ps = load_pts(args.pts)
-    stats = enumerate_triangulations(ps, max_n=_cap(args, ps.n))
+    ps = _load(args)
+    stats = enumerate_triangulations(ps)
     if args.fmt == "json":
         payload = envelope("triangulations", ps) | {
             "count": str(stats.count),
@@ -141,8 +153,8 @@ def cmd_triangulations(args) -> int:
 
 
 def cmd_charge_audit(args) -> int:
-    ps = load_pts(args.pts)
-    audit = charge_audit(ps, max_n=_cap(args, ps.n))
+    ps = _load(args)
+    audit = charge_audit(ps)
     if args.fmt == "json":
         payload = envelope("charge-audit", ps) | {
             "pg": str(audit["pg"]),
@@ -168,9 +180,9 @@ def cmd_charge_audit(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    ps = load_pts(args.pts)
+    ps = _load(args)
     claims = args.claims.split(",") if args.claims else None
-    reports = run_claims(ps, claims, max_n=_cap(args, ps.n))
+    reports = run_claims(ps, claims)
     payload = envelope("verify", ps) | {"reports": [vars(r) for r in reports]}
     _emit(dumps_json(payload), args.out)
     return 1 if any(r.status == "violated" for r in reports) else 0
@@ -186,10 +198,10 @@ def cmd_construction_report(args) -> int:
     n_max = args.n_max
     if n_max < 3:
         raise ValueError(f"n_max must be at least 3, got {n_max}")
-    cap = _cap(args, n_max)
-    ratio_rows = fn_ratio_table(n_max, max_n=cap)
-    trend_rows = v0_trend_table(n_max, max_n=cap)
-    product = [verify_product_law(n, max_n=cap) for n in range(4, n_max + 1)]
+    _check_cap(args, n_max)
+    ratio_rows = fn_ratio_table(n_max)
+    trend_rows = v0_trend_table(n_max)
+    product = [verify_product_law(n) for n in range(4, n_max + 1)]
     if args.fmt == "json":
         payload = envelope("construction-report", None) | {
             "fn_ratio": [

@@ -140,12 +140,12 @@ def flajolet_noy_approx(m: int) -> float:
     return FN_CONSTANT * FN_GROWTH**m / (math.sqrt(math.pi) * m**1.5)
 
 
-def fn_ratio_table(m_max: int, max_n: int | None = None) -> list[dict]:
+def fn_ratio_table(m_max: int) -> list[dict]:
     """Exact convex-position counts against the leading-term estimate."""
     rows = []
     previous = None
     for m in range(3, m_max + 1):
-        exact = count_plane_graphs(gen_convex_chain(m), max_n=max_n)
+        exact = count_plane_graphs(gen_convex_chain(m))
         approx = flajolet_noy_approx(m)
         rows.append(
             {
@@ -163,14 +163,12 @@ def fn_ratio_table(m_max: int, max_n: int | None = None) -> list[dict]:
 V0_TREND_CONSTANTS = (23.31, 23.314, 23.32)
 
 
-def v0_trend_table(n_max: int, max_n: int | None = None) -> list[dict]:
+def v0_trend_table(n_max: int) -> list[dict]:
     """vhat_0 * c / n for the cap-with-apex construction, against each of the
     three growth constants quoted for it (trend data, nothing asserted)."""
     rows = []
     for n in range(4, n_max + 1):
-        ps = gen_cap_with_apex(n)
-        dv = expected_degree_vector(ps, max_n=max_n)
-        vhat0 = dv.vhat[0]
+        vhat0 = expected_degree_vector(gen_cap_with_apex(n)).vhat[0]
         row = {"n": n, "vhat0": vhat0}
         for c in V0_TREND_CONSTANTS:
             row[f"scaled_{c}"] = float(vhat0) * c / n

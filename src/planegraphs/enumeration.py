@@ -45,7 +45,8 @@ conflict bit-vectors of :mod:`planegraphs.crossings`:
   integer at x = 2^(m+1), whose digits are p's degree row.
 
 All aggregates are exact big integers / rationals, so results are
-bit-identical across runs.
+bit-identical across runs.  Nothing here caps the point count: the CLI
+refuses an input above its cap once, when it reads it.
 """
 
 from __future__ import annotations
@@ -59,17 +60,9 @@ from typing import Callable, Iterator
 from .crossings import structures
 from .geometry import PointSet
 
-DEFAULT_MAX_N = 12
-
 
 class EnumerationLimitError(RuntimeError):
-    """Refusal to enumerate a point set above the configured cap."""
-
-
-def _check_cap(ps: PointSet, max_n: int | None) -> None:
-    cap = DEFAULT_MAX_N if max_n is None else max_n
-    if ps.n > cap:
-        raise EnumerationLimitError(f"n={ps.n} exceeds the cap of {cap}")
+    """Refusal of a point set above a point-count cap."""
 
 
 @dataclass(frozen=True)
@@ -303,9 +296,12 @@ def enumerate_plane_graphs(
     """Invoke `visitor(edges)` once per plane graph of P (the empty graph included).
 
     Single-threaded, deterministic lexicographic order over the presence
-    vector (segment 0 varies last).  Returns the visit count.
+    vector (segment 0 varies last).  Returns the visit count.  `max_n`, if
+    given, refuses a set of more points with :class:`EnumerationLimitError`;
+    only ``perfbench/tracer.py`` passes it.
     """
-    _check_cap(ps, max_n)
+    if max_n is not None and ps.n > max_n:
+        raise EnumerationLimitError(f"n={ps.n} exceeds the cap of {max_n}")
     ws = workspace(ps)
     count = 0
     for edges, _ in ws.independent_sets(ws.full):
@@ -314,11 +310,9 @@ def enumerate_plane_graphs(
     return count
 
 
-def count_plane_graphs(ps: PointSet, max_n: int | None = None) -> int:
+def count_plane_graphs(ps: PointSet) -> int:
     """pg(P) = number of plane graphs of P, exactly."""
-    _check_cap(ps, max_n)
-    ws = workspace(ps)
-    return ws.count_independent()
+    return workspace(ps).count_independent()
 
 
 def expected_degree_vector(
@@ -331,12 +325,15 @@ def expected_degree_vector(
     Every point's degree row is read off the digits of its packed polynomial
     from one serial pass, :meth:`_Workspace.degree_polynomials`.  `workers`
     must be at least 1 and starts nothing: the rows come from that pass for
-    any value.  The result is kept on the point set's workspace, so a second
-    call returns it without a count.
+    any value.  `max_n`, if given, refuses a set of more points with
+    :class:`EnumerationLimitError`.  Both stay only because
+    ``perfbench/tracer.py`` passes them.  The result is kept on the point
+    set's workspace, so a second call returns it without a count.
     """
     if workers < 1:
         raise ValueError("worker count must be >= 1")
-    _check_cap(ps, max_n)
+    if max_n is not None and ps.n > max_n:
+        raise EnumerationLimitError(f"n={ps.n} exceeds the cap of {max_n}")
     ws = workspace(ps)
     if ws.degrees is not None:
         return ws.degrees
@@ -376,7 +373,7 @@ def containing_triangulation(ps: PointSet, edges: int) -> int:
     return edges
 
 
-def enumerate_triangulations(ps: PointSet, max_n: int | None = None) -> TriangulationStats:
+def enumerate_triangulations(ps: PointSet) -> TriangulationStats:
     """Visit exactly the maximal plane graphs; record per-graph degree data.
 
     A triangulation is a maximal independent set of the crossing graph, so
@@ -392,7 +389,6 @@ def enumerate_triangulations(ps: PointSet, max_n: int | None = None) -> Triangul
     edge mask.  The result is kept on the point set's workspace, so a second
     call returns it without a walk.
     """
-    _check_cap(ps, max_n)
     ws = workspace(ps)
     if ws.triangulations is not None:
         return ws.triangulations

@@ -39,7 +39,7 @@ from .certified import (
     log_interval,
     pi_interval,
 )
-from .charging import _scaled_charge, census_from_degree_row, max_family_charge
+from .charging import _scaled_charge, census_from_degree_row, lp_charge_cap, max_family_charge
 from .constructions import gen_cap_with_apex, gen_convex_chain
 from .enumeration import (
     count_plane_graphs,
@@ -68,10 +68,6 @@ class VerificationReport:
     def __post_init__(self):
         if self.status == VIOLATED and self.witness is None:
             raise ValueError(f"violated claim {self.claim} carries no witness")
-
-    @property
-    def ok(self) -> bool:
-        return self.status != VIOLATED
 
 
 def _descriptor(ps: PointSet) -> str:
@@ -103,9 +99,9 @@ def _paper_hypotheses(ps: PointSet) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def verify_v0_upper(ps: PointSet, max_n: int | None = None) -> VerificationReport:
+def verify_v0_upper(ps: PointSet) -> VerificationReport:
     """Expected isolated-vertex bound 11n/112 for triangular-hull sets, n >= 5."""
-    dv = expected_degree_vector(ps, max_n=max_n)
+    dv = expected_degree_vector(ps)
     vhat0 = dv.vhat[0] if ps.n else Fraction(0)
     bound = Fraction(11 * ps.n, 112)
     margin = bound - vhat0
@@ -121,19 +117,14 @@ def verify_v0_upper(ps: PointSet, max_n: int | None = None) -> VerificationRepor
     )
 
 
-def verify_vi_upper(
-    ps: PointSet, i_max: int | None = None, max_n: int | None = None
-) -> list[VerificationReport]:
-    """vhat_i < n / sqrt(pi i) for 1 <= i <= i_max, certified via rational pi."""
+def verify_vi_upper(ps: PointSet) -> list[VerificationReport]:
+    """vhat_i < n / sqrt(pi i) for every degree 1 <= i <= n - 1, certified
+    via rational pi."""
     n = ps.n
-    if i_max is None:
-        i_max = n - 1
-    if i_max > n - 1:
-        raise ValueError(f"i_max={i_max} exceeds the maximum degree {n - 1}")
-    dv = expected_degree_vector(ps, max_n=max_n)
+    dv = expected_degree_vector(ps)
     desc = _descriptor(ps)
     reports = []
-    for i in range(1, i_max + 1):
+    for i in range(1, n):
         vhat = dv.vhat[i]
         # vhat < n/sqrt(pi i)  <=>  vhat^2 * pi * i < n^2 (both sides >= 0)
         lhs_hi = vhat * vhat * PI_HI * i
@@ -149,9 +140,7 @@ def verify_vi_upper(
     return reports
 
 
-def verify_previous_lower(
-    ps: PointSet, max_n: int | None = None
-) -> list[VerificationReport]:
+def verify_previous_lower(ps: PointSet) -> list[VerificationReport]:
     """The four previously-known lower bounds on expected degree counts.
 
     A bound c n > 0 on the expected number of vertices of the degrees it
@@ -160,7 +149,7 @@ def verify_previous_lower(
     """
     n = ps.n
     desc = _descriptor(ps)
-    vhat = expected_degree_vector(ps, max_n=max_n).vhat
+    vhat = expected_degree_vector(ps).vhat
 
     def v(i: int) -> Fraction:
         return vhat[i] if i < n else Fraction(0)
@@ -186,7 +175,7 @@ def verify_previous_lower(
 # ---------------------------------------------------------------------------
 
 
-def verify_visibility_lemma(ps: PointSet, max_n: int | None = None) -> VerificationReport:
+def verify_visibility_lemma(ps: PointSet) -> VerificationReport:
     """Every isolated vertex of every graph sees at least 3 other vertices.
 
     A 0-ving (G, p) is the root of p's family through G, and p's visibility
@@ -196,7 +185,7 @@ def verify_visibility_lemma(ps: PointSet, max_n: int | None = None) -> Verificat
     triangular-hull, n >= 5 hypotheses; other sets run in report-only mode
     (the observed minimum is still recorded).
     """
-    dv = expected_degree_vector(ps, max_n=max_n)
+    dv = expected_degree_vector(ps)
     strict = _paper_hypotheses(ps)
     censuses = [census_from_degree_row(row) for row in dv.per_point]
     min_vis = min((j for census in censuses for j in census), default=None)
@@ -227,9 +216,7 @@ def _visibility_witness(ps: PointSet, censuses: list[dict[int, int]], j: int) ->
     raise AssertionError(f"point {p} has no family root of visibility {j}")
 
 
-def verify_triangulation_degree_lemmas(
-    ps: PointSet, max_n: int | None = None
-) -> list[VerificationReport]:
+def verify_triangulation_degree_lemmas(ps: PointSet) -> list[VerificationReport]:
     """Degree-3 and degree-4 bounds over every triangulation, plus the
     sub-claim that at most one hull vertex of a triangulation has degree 3.
     Each margin falls as one statistic rises, so the witness of a claim is
@@ -241,7 +228,7 @@ def verify_triangulation_degree_lemmas(
         return [_verdict(c, desc, None) for c in claims]
     hull = convex_hull(ps)
     inc = workspace(ps).table.incident_masks
-    stats = enumerate_triangulations(ps, max_n=max_n)
+    stats = enumerate_triangulations(ps)
 
     def hull_deg3(rec) -> int:
         return sum(1 for h in hull if (rec.edges & inc[h]).bit_count() == 3)
@@ -263,9 +250,11 @@ def verify_triangulation_degree_lemmas(
     return reports
 
 
-def verify_graph_charge_cap(ps: PointSet, max_n: int | None = None) -> VerificationReport:
+def verify_graph_charge_cap(ps: PointSet) -> VerificationReport:
     """Per-graph charge cap (11n-6)/112: sum_p 2^-pt(p, G) <= cap for every G.
 
+    The cap is :func:`~planegraphs.charging.lp_charge_cap`, the checked
+    optimum of the degree-bound LP, whose domain n >= 5 is the claim's.
     Potential monotonicity is a lemma, not a scan: if G is a subgraph of a
     triangulation T, then blocked(G) is a subset of blocked(T), so
     pt(p, G) >= pt(p, T) = deg_T(p), since T is maximal.  The charge of G is
@@ -282,15 +271,15 @@ def verify_graph_charge_cap(ps: PointSet, max_n: int | None = None) -> Verificat
     def scaled(rec) -> int:  # a triangulation blocks every segment it does not hold
         return _scaled_charge(ws.table.incident_masks, ws.full & ~rec.edges, top)
 
-    rec = max(enumerate_triangulations(ps, max_n=max_n).records, key=scaled)
+    rec = max(enumerate_triangulations(ps).records, key=scaled)
     max_charge = Fraction(scaled(rec), 1 << top)
-    cap = Fraction(11 * n - 6, 112)
+    cap = lp_charge_cap(n)
     margin = cap - max_charge
     return _verdict(
         "graph_charge_cap", desc, margin >= 0, margin,
         {"graph": f"{rec.edges:x}", "charge": str(max_charge)},
         {
-            "graphs_scanned": count_plane_graphs(ps, max_n=max_n),
+            "graphs_scanned": count_plane_graphs(ps),
             "max_charge": max_charge,
             "cap": cap,
             "potential_monotonicity": True,
@@ -298,9 +287,7 @@ def verify_graph_charge_cap(ps: PointSet, max_n: int | None = None) -> Verificat
     )
 
 
-def verify_zero_ving_recurrence(
-    ps: PointSet, max_n: int | None = None
-) -> list[VerificationReport]:
+def verify_zero_ving_recurrence(ps: PointSet) -> list[VerificationReport]:
     """Deletion identities for 0-vings.
 
     (a) sum_G v_0(G) = sum_{q in P} pg(P minus q), via the bijection between
@@ -310,10 +297,8 @@ def verify_zero_ving_recurrence(
     """
     n = ps.n
     desc = _descriptor(ps)
-    dv = expected_degree_vector(ps, max_n=max_n)
-    drop_counts = {
-        p.label: count_plane_graphs(ps.drop(p.label), max_n=max_n) for p in ps.points
-    }
+    dv = expected_degree_vector(ps)
+    drop_counts = {p.label: count_plane_graphs(ps.drop(p.label)) for p in ps.points}
     hull = set(convex_hull(ps)) if n >= 3 else set(range(n))
     internal = [p for p in range(n) if p not in hull]
 
@@ -344,15 +329,15 @@ def verify_zero_ving_recurrence(
     ]
 
 
-def verify_product_law(n: int, max_n: int | None = None) -> VerificationReport:
+def verify_product_law(n: int) -> VerificationReport:
     """pg(cap_with_apex(n)) = 2^(n-1) * pg(convex_chain(n-1)), exactly.
 
     The apex segments cross nothing (that is the certificate), so they are
     free choices on top of any plane graph of the cap.
     """
     ps = gen_cap_with_apex(n)
-    lhs = count_plane_graphs(ps, max_n=max_n)
-    chain_count = count_plane_graphs(gen_convex_chain(n - 1), max_n=max_n)
+    lhs = count_plane_graphs(ps)
+    chain_count = count_plane_graphs(gen_convex_chain(n - 1))
     rhs = (1 << (n - 1)) * chain_count
     return _verdict(
         "cap_apex_product_law", _descriptor(ps), lhs == rhs, Fraction(lhs - rhs),
@@ -493,13 +478,13 @@ def ving_charge_argmax_sweep(i_max: int = 64) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 POINTSET_CLAIMS = {
-    "v0_upper": lambda ps, max_n: [verify_v0_upper(ps, max_n=max_n)],
-    "vi_upper": lambda ps, max_n: verify_vi_upper(ps, max_n=max_n),
-    "previous_lower": lambda ps, max_n: verify_previous_lower(ps, max_n=max_n),
-    "visibility": lambda ps, max_n: [verify_visibility_lemma(ps, max_n=max_n)],
-    "triangulation_degrees": lambda ps, max_n: verify_triangulation_degree_lemmas(ps, max_n=max_n),
-    "charge_cap": lambda ps, max_n: [verify_graph_charge_cap(ps, max_n=max_n)],
-    "zero_ving": lambda ps, max_n: verify_zero_ving_recurrence(ps, max_n=max_n),
+    "v0_upper": lambda ps: [verify_v0_upper(ps)],
+    "vi_upper": verify_vi_upper,
+    "previous_lower": verify_previous_lower,
+    "visibility": lambda ps: [verify_visibility_lemma(ps)],
+    "triangulation_degrees": verify_triangulation_degree_lemmas,
+    "charge_cap": lambda ps: [verify_graph_charge_cap(ps)],
+    "zero_ving": verify_zero_ving_recurrence,
 }
 
 ANALYTIC_CLAIMS = {
@@ -513,9 +498,7 @@ ALL_CLAIMS = list(POINTSET_CLAIMS) + list(ANALYTIC_CLAIMS)
 
 
 def run_claims(
-    ps: PointSet | None,
-    claims: list[str] | None = None,
-    max_n: int | None = None,
+    ps: PointSet | None, claims: list[str] | None = None
 ) -> list[VerificationReport]:
     """Run the selected claims (all by default) and return their reports.
 
@@ -530,7 +513,7 @@ def run_claims(
         if name in POINTSET_CLAIMS:
             if ps is None:
                 continue
-            reports.extend(POINTSET_CLAIMS[name](ps, max_n))
+            reports.extend(POINTSET_CLAIMS[name](ps))
         else:
             reports.extend(ANALYTIC_CLAIMS[name]())
     return reports

@@ -156,6 +156,22 @@ class TestVerify:
         assert outputs[0] == outputs[1]
         assert len(json.loads(outputs[0])["reports"]) == 2
 
+    @pytest.mark.parametrize("claims", ["stirling", "triangulation_degrees"])
+    def test_cap_is_checked_when_the_input_is_read(self, claims, tmp_path, capsys, monkeypatch):
+        # Neither claim counts anything on convex_chain(13): stirling is
+        # analytic and the triangulation lemmas need a triangular hull.  The
+        # cap still refuses the input, as it does for every other claim.
+        monkeypatch.delenv("PLANEGRAPH_MAX_N", raising=False)
+        pts = tmp_path / "chain13.pts"
+        assert run_cli("gen", "convex_chain", 13, "-o", pts) == 0
+        assert run_cli("verify", pts, "--claims", claims) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceeds the cap" in captured.err
+        for lift in (("--max-n", 13), ("--force",)):
+            assert run_cli("verify", pts, "--claims", claims, *lift) == 0, lift
+            assert json.loads(capsys.readouterr().out)["reports"], lift
+
     # Whole-report digests of every report that `dumps_json` writes, and of
     # the charge-audit and triangulations CSV: any change to a byte of a report shows here.  For
     # `verify`, cap_with_apex 6 asserts every claim and convex_chain 5 takes

@@ -134,7 +134,11 @@ class TestCount:
     def test_convex_recurrence_oracle(self):
         oracle = convex_count_recurrence(22)
         for m in range(3, 23):
-            assert count_plane_graphs(gen_convex_chain(m), max_n=m) == oracle[m]
+            assert count_plane_graphs(gen_convex_chain(m)) == oracle[m]
+
+    def test_library_takes_no_cap(self):
+        # the point-count cap belongs to the CLI: 13 points count as any other
+        assert count_plane_graphs(gen_convex_chain(13)) == convex_count_recurrence(13)[13]
 
     def test_convex_memo_stays_small(self):
         # On a fixed segment order the leftover components of convex position
@@ -142,7 +146,7 @@ class TestCount:
         # per-component pivot left 50,734.
         ps = gen_convex_chain(20)
         enumeration._workspace.cache_clear()
-        count_plane_graphs(ps, max_n=20)
+        count_plane_graphs(ps)
         assert len(enumeration.workspace(ps).memo) <= 10_000
 
     def test_cap_apex_product(self):

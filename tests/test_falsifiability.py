@@ -199,11 +199,7 @@ def test_degree_statistic_verifiers_flag_a_deflated_expectation(monkeypatch):
 
 def test_product_law_flags_a_miscount(monkeypatch):
     count = verify_mod.count_plane_graphs
-    monkeypatch.setattr(
-        verify_mod,
-        "count_plane_graphs",
-        lambda ps, max_n=None: count(ps, max_n=max_n) + (ps.n == 6),
-    )
+    monkeypatch.setattr(verify_mod, "count_plane_graphs", lambda ps: count(ps) + (ps.n == 6))
     report = verify_product_law(6)
     assert report.status == VIOLATED
     assert report.witness == {"lhs": "11265", "rhs": "11264"}

@@ -60,10 +60,6 @@ class TestViUpper:
         assert len(reports) == 5
         assert all(r.status == HOLDS for r in reports)
 
-    def test_i_max_validated(self, triangle):
-        with pytest.raises(ValueError):
-            verify_vi_upper(triangle, i_max=5)
-
 
 class TestPreviousLower:
     def test_triangle(self, triangle):
