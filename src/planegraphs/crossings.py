@@ -5,6 +5,13 @@ The n(n-1)/2 unordered point pairs are indexed lexicographically by
 graph encoding depends on it.  All per-segment sets (crossings, incidences)
 are bit-vectors over segment indices, stored as Python ints with bit k =
 segment k.
+
+The crossing table is read off one orientation pass: :func:`geometry.ccw_masks`
+computes each of the C(n,3) triple determinants once, and segment (i, j) is
+crossed by exactly the (p, q) with p left of i -> j, q right of it, and i, j
+on opposite sides of p -> q.  Past the determinants the work is one step per
+crossing pair and side; no pair of segments is tested on its own, which would
+take C(m,2) tests.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .geometry import PointSet, segments_cross
+from .geometry import PointSet, ccw_masks
 
 SEGMENT_INDEXING = "lexicographic (i,j) pairs with i<j; bit k of edge masks = segment k"
 
@@ -58,16 +65,26 @@ def build_segment_table(ps: PointSet) -> SegmentTable:
 
 
 def build_crossing_sets(ps: PointSet, table: SegmentTable) -> CrossingSets:
-    pts = ps.points
-    m = table.m
-    cross = [0] * m
-    for k in range(m):
-        i, j = table.segments[k]
-        for l in range(k + 1, m):
-            p, q = table.segments[l]
-            if segments_cross(pts[i], pts[j], pts[p], pts[q]):
-                cross[k] |= 1 << l
-                cross[l] |= 1 << k
+    ccw = ccw_masks(ps)
+    bit = [[0] * ps.n for _ in range(ps.n)]   # bit[p][q] = 1 << index of segment {p, q}
+    for k, (i, j) in enumerate(table.segments):
+        bit[i][j] = bit[j][i] = 1 << k
+    cross = []
+    for i, j in table.segments:
+        ccw_i, ccw_j = ccw[i], ccw[j]
+        left, right = ccw_i[j], ccw_j[i]
+        row = 0
+        while left:
+            low = left & -left
+            p = low.bit_length() - 1
+            left ^= low
+            bit_p = bit[p]
+            rest = right & (ccw_i[p] ^ ccw_j[p])
+            while rest:
+                low = rest & -rest
+                row |= bit_p[low.bit_length() - 1]
+                rest ^= low
+        cross.append(row)
     return CrossingSets(cross=tuple(cross))
 
 

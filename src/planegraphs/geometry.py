@@ -4,6 +4,9 @@ Everything downstream (crossing tables, enumeration, charging) reduces to the
 predicates in this module, so they are kept exact: coordinates are integers
 capped at |x|, |y| <= 2**20, which keeps every 3x3 orientation determinant
 well inside 64 bits.  There is no floating point anywhere in this module.
+The predicates are :func:`orientation`, :func:`segments_cross` and
+:func:`ccw_masks`, which packs the orientation of every triple of a point set
+into one bit-vector per ordered pair (the crossing table reads only that).
 
 A :class:`PointSet` is in general position by construction: all points
 distinct and no three collinear.  It validates itself when it is built, and a
@@ -105,6 +108,37 @@ def orientation(a: Point, b: Point, c: Point) -> Orientation:
     if det < 0:
         return Orientation.CW
     return Orientation.COLLINEAR
+
+
+def ccw_masks(ps: PointSet) -> list[list[int]]:
+    """masks[i][j] = bit-vector of the points k with (i, j, k) counter-clockwise.
+
+    One exact determinant per unordered triple fills all six of its orders, so
+    masks[j][i] is the clockwise side of i -> j; a PointSet has no collinear
+    triple, so the two sides of every line partition the other points.
+    """
+    pts = ps.points
+    n = len(pts)
+    masks = [[0] * n for _ in range(n)]
+    for i in range(n):
+        a = pts[i]
+        bit_i = 1 << i
+        for j in range(i + 1, n):
+            b = pts[j]
+            bit_j = 1 << j
+            bx, by = b.x - a.x, b.y - a.y
+            for k in range(j + 1, n):
+                c = pts[k]
+                bit_k = 1 << k
+                if bx * (c.y - a.y) - by * (c.x - a.x) > 0:
+                    masks[i][j] |= bit_k
+                    masks[j][k] |= bit_i
+                    masks[k][i] |= bit_j
+                else:
+                    masks[j][i] |= bit_k
+                    masks[k][j] |= bit_i
+                    masks[i][k] |= bit_j
+    return masks
 
 
 def segments_cross(a: Point, b: Point, c: Point, d: Point) -> bool:

@@ -1,7 +1,23 @@
-from planegraphs import build_crossing_sets, build_segment_table, convex_hull, gen_convex_chain
+import sys
+from math import comb
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from planegraphs import (
+    Point,
+    PointSet,
+    build_crossing_sets,
+    build_segment_table,
+    convex_hull,
+    gen_convex_chain,
+    gen_triangular_hull_random,
+    orientation,
+)
 from planegraphs.crossings import structures
 
-from conftest import count_convex_quadruples, standard_small_sets
+from conftest import count_convex_quadruples, segments_cross_oracle, standard_small_sets
 
 
 def hull_edge_mask(ps, table) -> int:
@@ -81,3 +97,77 @@ def test_crossing_pairs_equal_convex_quadruples():
     for ps in standard_small_sets():
         _, crossings = structures(ps)
         assert crossings.total_crossing_pairs == count_convex_quadruples(ps)
+
+
+def assert_crossings_match_oracle(ps):
+    """Every row of the built table equals the rational oracle on the coordinates."""
+    table = build_segment_table(ps)
+    cross = build_crossing_sets(ps, table).cross
+    assert len(cross) == table.m == comb(ps.n, 2)
+    xy = ps.coords()
+    for k, (i, j) in enumerate(table.segments):
+        expected = sum(
+            1 << l
+            for l, (p, q) in enumerate(table.segments)
+            if l != k and segments_cross_oracle(xy[i], xy[j], xy[p], xy[q])
+        )
+        assert cross[k] == expected, (k, table.segments[k])
+
+
+@st.composite
+def general_position_sets(draw):
+    """Up to 10 distinct points on a grid of side 3..60, each kept iff it is
+    collinear with no pair of the points kept before it.  Small grids make
+    near-collinear quadruples common."""
+    span = draw(st.sampled_from([3, 4, 6, 10, 60]))
+    coords = st.tuples(st.integers(0, span), st.integers(0, span))
+    pts = []
+    for x, y in draw(st.lists(coords, min_size=4, max_size=10, unique=True)):
+        c = Point(x, y, len(pts))
+        if all(orientation(a, b, c) for i, a in enumerate(pts) for b in pts[i + 1:]):
+            pts.append(c)
+    return PointSet(tuple(pts))
+
+
+def test_crossings_match_oracle_small_sets():
+    for ps in standard_small_sets():
+        assert_crossings_match_oracle(ps)
+
+
+@given(general_position_sets())
+@settings(max_examples=150, deadline=None)
+def test_crossings_match_oracle_random_sets(ps):
+    assert_crossings_match_oracle(ps)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: gen_convex_chain(21), lambda: gen_triangular_hull_random(16, seed=1)],
+    ids=["convex_chain_21", "triangular_hull_random_16"],
+)
+def test_crossings_match_oracle_count_convex_inputs(make):
+    assert_crossings_match_oracle(make())
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_tiny_sets_cross_nothing(n):
+    ps = PointSet.from_coords([(0, 0), (1, 0), (0, 1)][:n])
+    table = build_segment_table(ps)
+    cross = build_crossing_sets(ps, table).cross
+    assert table.m == len(cross) == comb(n, 2)
+    assert all(c == 0 for c in cross)
+
+
+def test_crossing_table_tests_no_segment_pair(monkeypatch):
+    """The table comes from the orientation masks alone: `segments_cross`,
+    patched to raise wherever planegraphs binds it, is never called."""
+    ps = gen_convex_chain(9)
+
+    def refuse(*args):
+        raise AssertionError("segments_cross called while building the crossing table")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "planegraphs" and hasattr(module, "segments_cross"):
+            monkeypatch.setattr(module, "segments_cross", refuse)
+    structures.cache_clear()
+    _, crossings = structures(ps)
+    assert crossings.total_crossing_pairs == 126 == comb(9, 4)

@@ -18,7 +18,8 @@ from planegraphs import (
     general_position_violations,
     segments_cross,
 )
-from conftest import coords, segments_cross_oracle
+from planegraphs.geometry import ccw_masks
+from conftest import coords, segments_cross_oracle, standard_small_sets
 
 
 def P(x, y, label=0):
@@ -43,6 +44,19 @@ class TestOrientation:
         o = orientation(a, b, c)
         assert o == orientation(b, c, a) == orientation(c, a, b)
         assert o == -orientation(b, a, c) == -orientation(a, c, b)
+
+    def test_ccw_masks_match_orientation(self):
+        for ps in standard_small_sets():
+            masks = ccw_masks(ps)
+            pts = ps.points
+            for i in range(ps.n):
+                for j in range(ps.n):
+                    expected = sum(
+                        1 << k
+                        for k in range(ps.n)
+                        if len({i, j, k}) == 3 and orientation(pts[i], pts[j], pts[k]) == Orientation.CCW
+                    )
+                    assert masks[i][j] == expected
 
 
 class TestSegmentsCross:
