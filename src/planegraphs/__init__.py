@@ -10,7 +10,6 @@ from .geometry import (  # noqa: F401
     PointSet,
     PtsFormatError,
     convex_hull,
-    general_position_violations,
     is_triangular_hull,
     load_pts,
     orientation,

@@ -12,11 +12,9 @@ knows it: `--max-n`, else $PLANEGRAPH_MAX_N, else ``DEFAULT_MAX_N``;
 .pts file, or `construction-report`'s n_max) and before any work starts, so
 the same n gets the same refusal whatever `--claims` selects, and a refused
 run writes nothing to stdout.  The library functions take no cap.
-`--workers` is on `degrees` alone; it must be at least 1 and starts
-nothing, since every degree row comes from one serial pass, so the report
-does not depend on it.  `--format` is on every report command but
-`verify`, which writes JSON alone; `count` always prints pg on stdout, and
-`--format` shapes its `--out` report.
+`--format` is on every report command but `verify`, which writes JSON
+alone; `count` always prints pg on stdout, and `--format` shapes its
+`--out` report.
 """
 
 from __future__ import annotations
@@ -105,7 +103,7 @@ def cmd_count(args) -> int:
 
 def cmd_degrees(args) -> int:
     ps = _load(args)
-    dv = expected_degree_vector(ps, workers=args.workers)
+    dv = expected_degree_vector(ps)
     if args.fmt == "json":
         payload = envelope("degrees", ps) | {
             "n": ps.n,
@@ -254,9 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("degrees", help="exact expected-degree statistics")
     _add_common(p)
-    p.add_argument(
-        "--workers", type=int, default=1, help="starts nothing: one serial pass (default 1)"
-    )
     p.set_defaults(func=cmd_degrees)
 
     p = sub.add_parser("triangulations", help="enumerate maximal plane graphs")

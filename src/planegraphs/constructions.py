@@ -55,16 +55,12 @@ def gen_convex_chain(m: int) -> PointSet:
 
 
 def _apex_certified(ps: PointSet) -> bool:
-    """No apex segment (label 0 to p_i) crosses any cap chord (p_j, p_k)."""
+    """No apex segment (label 0 to i) crosses any cap chord (a, b)."""
     pts = ps.points
-    apex = pts[0]
-    cap = pts[1:]
-    for pi in cap:
-        for a in range(len(cap)):
-            for b in range(a + 1, len(cap)):
-                if cap[a].label == pi.label or cap[b].label == pi.label:
-                    continue
-                if segments_cross(apex, pi, cap[a], cap[b]):
+    for i in range(1, ps.n):
+        for a in range(1, ps.n):
+            for b in range(a + 1, ps.n):
+                if i not in (a, b) and segments_cross(pts[0], pts[i], pts[a], pts[b]):
                     return False
     return True
 
@@ -106,7 +102,7 @@ def gen_triangular_hull_random(n: int, seed: int) -> PointSet:
         raise ValueError("needs at least 4 points")
     rng = random.Random(seed)
     size = RANDOM_HULL_SIZE
-    pts = [Point(0, 0, 0), Point(size, 0, 1), Point(0, size, 2)]
+    pts = [Point(0, 0), Point(size, 0), Point(0, size)]
     budget = 20000 * n
     while len(pts) < n:
         budget -= 1
@@ -116,7 +112,7 @@ def gen_triangular_hull_random(n: int, seed: int) -> PointSet:
         y = rng.randrange(1, size - 1)
         if x + y >= size:
             continue
-        c = Point(x, y, len(pts))
+        c = Point(x, y)
         if all(orientation(a, b, c) for a, b in combinations(pts, 2)):
             pts.append(c)
     return PointSet(tuple(pts))

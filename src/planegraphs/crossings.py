@@ -6,12 +6,12 @@ graph encoding depends on it.  All per-segment sets (crossings, incidences)
 are bit-vectors over segment indices, stored as Python ints with bit k =
 segment k.
 
-The crossing table is read off one orientation pass: :func:`geometry.ccw_masks`
-computes each of the C(n,3) triple determinants once, and segment (i, j) is
-crossed by exactly the (p, q) with p left of i -> j, q right of it, and i, j
-on opposite sides of p -> q.  Past the determinants the work is one step per
-crossing pair and side; no pair of segments is tested on its own, which would
-take C(m,2) tests.
+The crossing table is read off the point set's orientation masks
+(``PointSet.ccw``, each of the C(n,3) triple determinants computed once when
+the set was built): segment (i, j) is crossed by exactly the (p, q) with p
+left of i -> j, q right of it, and i, j on opposite sides of p -> q.  The
+work is one step per crossing pair and side; no pair of segments is tested
+on its own, which would take C(m,2) tests.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .geometry import PointSet, ccw_masks
+from .geometry import PointSet
 
 SEGMENT_INDEXING = "lexicographic (i,j) pairs with i<j; bit k of edge masks = segment k"
 
@@ -65,7 +65,7 @@ def build_segment_table(ps: PointSet) -> SegmentTable:
 
 
 def build_crossing_sets(ps: PointSet, table: SegmentTable) -> CrossingSets:
-    ccw = ccw_masks(ps)
+    ccw = ps.ccw
     bit = [[0] * ps.n for _ in range(ps.n)]   # bit[p][q] = 1 << index of segment {p, q}
     for k, (i, j) in enumerate(table.segments):
         bit[i][j] = bit[j][i] = 1 << k

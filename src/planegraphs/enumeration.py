@@ -36,9 +36,9 @@ conflict bit-vectors of :mod:`planegraphs.crossings`:
   pivot chosen afresh in each component leaves 50,734.  Counting runs
   serially.  Degree statistics come from one more pass of the same
   recursion, memoized by component for that call alone.  For a component C
-  it keeps the plain count c(C) and, for each point p, p's degree
-  polynomial over C, sum_d c_d x^d with c_d the independent sets of C that
-  hold d segments at p.  A point that touches no segment of C takes c(C);
+  it keeps, for each point p, p's degree polynomial over C, sum_d c_d x^d
+  with c_d the independent sets of C that hold d segments at p.  A point
+  that touches no segment of C takes the plain count of C;
   components multiply point by point; a lone segment contributes (1 + x) at
   its endpoints and 2 elsewhere; and the branch on a segment (a, b) adds x
   times its "with" branch at a and b.  Each polynomial is packed into one
@@ -172,8 +172,7 @@ class _Workspace:
 
     def degree_polynomials(self) -> list[int]:
         """Entry p is point p's packed degree polynomial sum_d c_d x^d, where
-        c_d counts the plane graphs in which p has degree d; entry n is the
-        plain count pg.
+        c_d counts the plane graphs in which p has degree d.
 
         The polynomial is evaluated at x = 2^B with B = ``self.digit_bits`` =
         m + 1.  Every coefficient counts edge sets, so it is at most 2^m < 2^B,
@@ -196,10 +195,10 @@ class _Workspace:
         bit r is the segment with endpoints ``ends[r]``.
 
         Components multiply entry by entry; a point that touches no segment
-        of a component takes its plain count, the same as entry n.  The
-        branch on the lowest bit e = (a, b) adds its "with" branch to its
-        "without" branch, shifted by one digit at a and b.  A lone segment
-        contributes (1 + x) at its two endpoints and 2 everywhere else.
+        of a component takes its plain count.  The branch on the lowest bit
+        e = (a, b) adds its "with" branch to its "without" branch, shifted by
+        one digit at a and b.  A lone segment contributes (1 + x) at its two
+        endpoints and 2 everywhere else.
         """
         rcross = self.rcross
         result = None
@@ -231,7 +230,7 @@ class _Workspace:
                 memo[comp] = polys
             result = polys if result is None else list(map(mul, result, polys))
         if result is None:
-            result = [1] * (self.table.n + 1)
+            result = [1] * self.table.n
         if lone:
             result = [u << len(lone) for u in result]
             x1 = (1 << self.digit_bits) + 1
@@ -340,7 +339,7 @@ def expected_degree_vector(
     n = ps.n
     bits = ws.digit_bits
     digit = (1 << bits) - 1
-    polys = ws.degree_polynomials()[:n]
+    polys = ws.degree_polynomials()
     rows = [tuple(poly >> (d * bits) & digit for d in range(n)) for poly in polys]
     pg = ws.count_independent()
     for row in rows:

@@ -1,23 +1,25 @@
-"""Exact integer geometric predicates and point-set validation.
+"""Exact integer geometric predicates and point sets in general position.
 
 Everything downstream (crossing tables, enumeration, charging) reduces to the
-predicates in this module, so they are kept exact: coordinates are integers
-capped at |x|, |y| <= 2**20, which keeps every 3x3 orientation determinant
-well inside 64 bits.  There is no floating point anywhere in this module.
-The predicates are :func:`orientation`, :func:`segments_cross` and
-:func:`ccw_masks`, which packs the orientation of every triple of a point set
-into one bit-vector per ordered pair (the crossing table reads only that).
+orientation of triples of points, so it is kept exact: coordinates are
+integers capped at |x|, |y| <= 2**20, which keeps every 3x3 orientation
+determinant well inside 64 bits.  There is no floating point anywhere in this
+module.  A point's label is its index in the set.
 
 A :class:`PointSet` is in general position by construction: all points
-distinct and no three collinear.  It validates itself when it is built, and a
-degenerate input raises :class:`GeneralPositionError` with the explicit list
-of violations instead of being silently repaired.
+distinct and no three collinear.  One pass when it is built computes each of
+its C(n,3) triple determinants once.  A degenerate input raises
+:class:`GeneralPositionError` with the explicit list of violations instead of
+being silently repaired; otherwise the signs are kept as ``ps.ccw``, one
+bit-vector per ordered pair, which the crossing table and :func:`convex_hull`
+read.  :func:`orientation` and :func:`segments_cross` test points one at a
+time, for generators and as independent oracles.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -49,31 +51,35 @@ class Orientation(IntEnum):
 
 @dataclass(frozen=True)
 class Point:
-    """A labelled integer point.  Labels are the 0-based input order."""
+    """An integer point."""
 
     x: int
     y: int
-    label: int
 
     def __post_init__(self):
         if not (isinstance(self.x, int) and isinstance(self.y, int)):
             raise TypeError("coordinates must be integers")
         if abs(self.x) > COORD_LIMIT or abs(self.y) > COORD_LIMIT:
-            raise ValueError(
-                f"|coordinate| of point {self.label} exceeds {COORD_LIMIT}"
-            )
+            raise ValueError(f"|coordinate| of point ({self.x}, {self.y}) exceeds {COORD_LIMIT}")
 
 
 @dataclass(frozen=True)
 class PointSet:
-    """An immutable point set in general position: it validates itself on construction."""
+    """An immutable point set in general position: it validates itself on construction.
+
+    ``ccw[i][j]`` is the bit-vector of the points k with (i, j, k)
+    counter-clockwise, so ``ccw[j][i]`` is the clockwise side of i -> j and
+    the two sides of every line partition the other points.
+    """
 
     points: tuple[Point, ...]
+    ccw: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        violations = general_position_violations(self.points)
+        violations, ccw = _orientations(self.points)
         if violations:
             raise GeneralPositionError(violations)
+        object.__setattr__(self, "ccw", ccw)
 
     @property
     def n(self) -> int:
@@ -81,14 +87,14 @@ class PointSet:
 
     @classmethod
     def from_coords(cls, coords: Iterable[tuple[int, int]]) -> "PointSet":
-        return cls(tuple(Point(int(x), int(y), i) for i, (x, y) in enumerate(coords)))
+        return cls(tuple(Point(int(x), int(y)) for x, y in coords))
 
     def coords(self) -> tuple[tuple[int, int], ...]:
         return tuple((p.x, p.y) for p in self.points)
 
-    def drop(self, label: int) -> "PointSet":
-        """The point set with one point removed; remaining labels are renumbered."""
-        return PointSet.from_coords([(p.x, p.y) for p in self.points if p.label != label])
+    def drop(self, i: int) -> "PointSet":
+        """The point set without point i; the points after it move down one label."""
+        return PointSet(self.points[:i] + self.points[i + 1:])
 
     def to_pts(self) -> str:
         lines = [str(self.n)]
@@ -110,18 +116,22 @@ def orientation(a: Point, b: Point, c: Point) -> Orientation:
     return Orientation.COLLINEAR
 
 
-def ccw_masks(ps: PointSet) -> list[list[int]]:
-    """masks[i][j] = bit-vector of the points k with (i, j, k) counter-clockwise.
+def _orientations(pts: Sequence[Point]) -> tuple[list[tuple], tuple[tuple[int, ...], ...]]:
+    """Every violation of general position, and the ``ccw`` masks of the points.
 
-    One exact determinant per unordered triple fills all six of its orders, so
-    masks[j][i] is the clockwise side of i -> j; a PointSet has no collinear
-    triple, so the two sides of every line partition the other points.
+    Violations are (kind, labels) tuples: each duplicate as (first, later),
+    then each collinear triple i < j < k.  One exact determinant per triple
+    fills all six of its orders when it is nonzero.
     """
-    pts = ps.points
     n = len(pts)
+    violations: list[tuple] = []
+    seen: dict[tuple[int, int], int] = {}
+    for i, p in enumerate(pts):
+        first = seen.setdefault((p.x, p.y), i)
+        if first != i:
+            violations.append(("duplicate", (first, i)))
     masks = [[0] * n for _ in range(n)]
-    for i in range(n):
-        a = pts[i]
+    for i, a in enumerate(pts):
         bit_i = 1 << i
         for j in range(i + 1, n):
             b = pts[j]
@@ -130,15 +140,18 @@ def ccw_masks(ps: PointSet) -> list[list[int]]:
             for k in range(j + 1, n):
                 c = pts[k]
                 bit_k = 1 << k
-                if bx * (c.y - a.y) - by * (c.x - a.x) > 0:
+                det = bx * (c.y - a.y) - by * (c.x - a.x)
+                if det > 0:
                     masks[i][j] |= bit_k
                     masks[j][k] |= bit_i
                     masks[k][i] |= bit_j
-                else:
+                elif det < 0:
                     masks[j][i] |= bit_k
                     masks[k][j] |= bit_i
                     masks[i][k] |= bit_j
-    return masks
+                else:
+                    violations.append(("collinear", (i, j, k)))
+    return violations, tuple(map(tuple, masks))
 
 
 def segments_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
@@ -159,49 +172,29 @@ def segments_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
     o3 = orientation(c, d, a)
     o4 = orientation(c, d, b)
     if Orientation.COLLINEAR in (o1, o2, o3, o4):
-        raise GeneralPositionError(
-            [("collinear", (a.label, b.label, c.label, d.label))]
-        )
+        raise GeneralPositionError([("collinear", tuple((p.x, p.y) for p in (a, b, c, d)))])
     return o1 != o2 and o3 != o4
 
 
-def general_position_violations(points: Sequence[Point]) -> list[tuple]:
-    """Every duplicate pair and collinear triple, as (kind, labels) tuples."""
-    violations: list[tuple] = []
-    n = len(points)
-    seen: dict[tuple[int, int], int] = {}
-    for p in points:
-        key = (p.x, p.y)
-        if key in seen:
-            violations.append(("duplicate", (seen[key], p.label)))
-        else:
-            seen[key] = p.label
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if orientation(points[i], points[j], points[k]) == Orientation.COLLINEAR:
-                    violations.append(("collinear", (i, j, k)))
-    return violations
-
-
 def convex_hull(ps: PointSet) -> tuple[int, ...]:
-    """Hull vertex labels in CCW order (monotone chain, exact arithmetic)."""
-    if ps.n < 3:
+    """Hull vertex labels in CCW order, from the leftmost point (lowest on a tie).
+
+    Read off ``ps.ccw``: the next vertex after i is the j with every other
+    point to the left of i -> j.
+    """
+    n = ps.n
+    if n < 3:
         raise ValueError("convex hull requires at least 3 points")
-    pts = sorted(ps.points, key=lambda p: (p.x, p.y))
-
-    def half(chain_pts):
-        out: list[Point] = []
-        for p in chain_pts:
-            while len(out) >= 2 and orientation(out[-2], out[-1], p) != Orientation.CCW:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = half(pts)
-    upper = half(reversed(pts))
-    hull = lower[:-1] + upper[:-1]
-    return tuple(p.label for p in hull)
+    coords = ps.coords()
+    everyone = (1 << n) - 1
+    start = i = min(range(n), key=coords.__getitem__)
+    hull = []
+    while True:
+        hull.append(i)
+        row = ps.ccw[i]
+        i = next(j for j in range(n) if row[j] == everyone ^ (1 << i) ^ (1 << j))
+        if i == start:
+            return tuple(hull)
 
 
 def is_triangular_hull(ps: PointSet) -> bool:

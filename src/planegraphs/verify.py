@@ -298,16 +298,16 @@ def verify_zero_ving_recurrence(ps: PointSet) -> list[VerificationReport]:
     n = ps.n
     desc = _descriptor(ps)
     dv = expected_degree_vector(ps)
-    drop_counts = {p.label: count_plane_graphs(ps.drop(p.label)) for p in ps.points}
+    drop_counts = [count_plane_graphs(ps.drop(q)) for q in range(n)]
     hull = set(convex_hull(ps)) if n >= 3 else set(range(n))
     internal = [p for p in range(n) if p not in hull]
 
     total_zero = dv.ving_counts[0] if n else 0
-    rhs_general = sum(drop_counts.values())
+    rhs_general = sum(drop_counts)
     internal_zero = sum(dv.per_point[p][0] for p in internal)
     rhs_internal = sum(drop_counts[p] for p in internal)
     # pg >= (n / vhat_0) * min_q pg(P minus q)  <=>  ving_0 >= n * min_q
-    n_min_drop = n * min(drop_counts.values(), default=0)
+    n_min_drop = n * min(drop_counts, default=0)
     return [
         _verdict(
             "zero_ving_identity", desc, total_zero == rhs_general,

@@ -17,6 +17,7 @@ import pytest
 
 from planegraphs import (
     EnumerationLimitError,
+    GeneralPositionError,
     PointSet,
     enumerate_plane_graphs,
     gen_cap_with_apex,
@@ -41,6 +42,16 @@ def frames_below() -> int:
 
 def coords(*pairs) -> PointSet:
     return PointSet.from_coords(pairs)
+
+
+def gp_violations(pairs) -> list[tuple]:
+    """The general-position violations of a coordinate list, as the
+    `PointSet` constructor reports them; [] when it builds."""
+    try:
+        PointSet.from_coords(pairs)
+    except GeneralPositionError as exc:
+        return exc.violations
+    return []
 
 
 @pytest.fixture(scope="session")

@@ -97,18 +97,6 @@ class TestDegrees:
         assert payload["vhat"][1] == {"num": "3", "den": "2"}
 
 
-class TestWorkerDeterminism:
-    def test_byte_identical_reports(self, tmp_path):
-        pts = tmp_path / "ca6.pts"
-        save_pts(gen_cap_with_apex(6), pts)
-        outputs = []
-        for workers in (1, 2):
-            out = tmp_path / f"deg{workers}.json"
-            assert run_cli("degrees", pts, "--workers", workers, "--out", out) == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
-
-
 class TestTriangulationsAndAudit:
     def test_triangulations_json(self, tri_file, capsys):
         assert run_cli("triangulations", tri_file) == 0
@@ -360,8 +348,8 @@ def test_console_script_entry_point(tmp_path):
 
 
 # Runs that compare against no irrational bound must not pay to import
-# mpmath, and no run loads the process-pool machinery: `degrees --workers 2`
-# computes its rows in the same serial pass as `--workers 1`.
+# mpmath, and no run loads the process-pool machinery: every degree row
+# comes from one serial pass.
 _IMPORT_PROBE = """
 import json, sys
 from planegraphs.cli import main
@@ -372,7 +360,7 @@ pts = sys.argv[1]
 codes = [main([command, pts]) for command in
          ("validate", "count", "degrees", "triangulations", "charge-audit")]
 light = loaded()
-codes.append(main(["degrees", pts, "--workers", "2"]))
+codes.append(main(["degrees", pts]))
 workers = loaded()
 codes.append(main(["verify", pts, "--claims", "stirling"]))
 print(json.dumps({"codes": codes, "light": light, "workers": workers, "verify": loaded()}),
@@ -399,15 +387,11 @@ def test_light_commands_do_not_import_mpmath_or_pools(tmp_path):
     assert "mpmath" in result["verify"]
 
 
-def test_run_config_rejects_bad_worker_count(tri_file, capsys):
-    assert run_cli("degrees", tri_file, "--workers", 0) == 2
-    assert "worker count" in capsys.readouterr().err
-
-
 def test_workers_only_on_degrees():
     parser = build_parser()
     for argv in (
         ["count", "x.pts"],
+        ["degrees", "x.pts"],
         ["triangulations", "x.pts"],
         ["charge-audit", "x.pts"],
         ["verify", "x.pts"],
@@ -416,7 +400,6 @@ def test_workers_only_on_degrees():
         with pytest.raises(SystemExit) as exc:
             parser.parse_args([*argv, "--workers", "2"])
         assert exc.value.code == 2, argv
-    assert parser.parse_args(["degrees", "x.pts", "--workers", "2"]).workers == 2
 
 
 def test_format_not_on_verify(tri_file, tmp_path, capsys):

@@ -12,13 +12,14 @@ from planegraphs import (
     gen_cap_with_apex,
     gen_convex_chain,
     gen_triangular_hull_random,
-    general_position_violations,
     is_triangular_hull,
     segments_cross,
     verify_product_law,
 )
-from planegraphs import constructions, geometry
+from planegraphs import geometry
 from planegraphs.constructions import ConstructionSpec, fn_ratio_table, v0_trend_table
+
+from conftest import gp_violations
 
 
 class TestConvexChain:
@@ -28,7 +29,7 @@ class TestConvexChain:
 
     def test_general_position_by_construction(self):
         # distinct parabola abscissas have pairwise distinct slopes
-        assert general_position_violations(gen_convex_chain(9).points) == []
+        assert gp_violations(gen_convex_chain(9).coords()) == []
 
     def test_coordinate_cap(self):
         with pytest.raises(ValueError):
@@ -91,20 +92,19 @@ class TestTriangularHullRandom:
             assert is_triangular_hull(gen_triangular_hull_random(6, seed=seed))
 
     def test_validates(self):
-        assert general_position_violations(gen_triangular_hull_random(8, seed=5).points) == []
+        assert gp_violations(gen_triangular_hull_random(8, seed=5).coords()) == []
 
     def test_one_full_scan_for_the_final_set(self, monkeypatch):
         # Each candidate is tested against its own triples only; the full
         # general-position scan runs once, when the finished set is built.
         scanned = []
-        real = geometry.general_position_violations
+        real = geometry._orientations
 
         def counting(points):
             scanned.append(len(points))
             return real(points)
 
-        monkeypatch.setattr(geometry, "general_position_violations", counting)
-        monkeypatch.setattr(constructions, "general_position_violations", counting, raising=False)
+        monkeypatch.setattr(geometry, "_orientations", counting)
         gen_triangular_hull_random(20, seed=1)
         assert scanned == [20]
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from planegraphs import (
     EnumerationLimitError,
-    Point,
     PointSet,
     containing_triangulation,
     convex_hull,
@@ -18,7 +17,6 @@ from planegraphs import (
     gen_cap_with_apex,
     gen_convex_chain,
     gen_triangular_hull_random,
-    general_position_violations,
     is_triangulation,
 )
 from planegraphs import enumeration
@@ -32,6 +30,7 @@ from conftest import (
     coords,
     count_plane_graphs_bruteforce,
     frames_below,
+    gp_violations,
 )
 
 
@@ -237,9 +236,7 @@ def relabelled_sets(draw):
             min_size=6,
             max_size=8,
             unique=True,
-        ).filter(lambda c: not general_position_violations(
-            [Point(x, y, i) for i, (x, y) in enumerate(c)]
-        ))
+        ).filter(lambda c: not gp_violations(c))
     )
     perm = draw(st.permutations(range(len(pts))))
     return PointSet.from_coords(pts), PointSet.from_coords([pts[i] for i in perm]), perm

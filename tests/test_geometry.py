@@ -15,39 +15,33 @@ from planegraphs import (
     is_triangular_hull,
     orientation,
     parse_pts,
-    general_position_violations,
     segments_cross,
 )
-from planegraphs.geometry import ccw_masks
-from conftest import coords, segments_cross_oracle, standard_small_sets
-
-
-def P(x, y, label=0):
-    return Point(x, y, label)
+from conftest import coords, gp_violations, segments_cross_oracle, standard_small_sets
 
 
 class TestOrientation:
     def test_unit_right_turn_convention(self):
-        assert orientation(P(0, 0), P(1, 0, 1), P(0, 1, 2)) == Orientation.CCW
+        assert orientation(Point(0, 0), Point(1, 0), Point(0, 1)) == Orientation.CCW
 
     def test_collinear(self):
-        assert orientation(P(0, 0), P(1, 1, 1), P(2, 2, 2)) == Orientation.COLLINEAR
+        assert orientation(Point(0, 0), Point(1, 1), Point(2, 2)) == Orientation.COLLINEAR
 
     def test_mirror_is_cw(self):
-        assert orientation(P(0, 0), P(0, 1, 1), P(1, 0, 2)) == Orientation.CW
+        assert orientation(Point(0, 0), Point(0, 1), Point(1, 0)) == Orientation.CW
 
     @given(st.lists(st.tuples(st.integers(-60, 60), st.integers(-60, 60)),
                     min_size=3, max_size=3, unique=True))
     @settings(max_examples=300)
     def test_cyclic_and_antisymmetric(self, pts):
-        a, b, c = (P(x, y, i) for i, (x, y) in enumerate(pts))
+        a, b, c = (Point(x, y) for x, y in pts)
         o = orientation(a, b, c)
         assert o == orientation(b, c, a) == orientation(c, a, b)
         assert o == -orientation(b, a, c) == -orientation(a, c, b)
 
     def test_ccw_masks_match_orientation(self):
         for ps in standard_small_sets():
-            masks = ccw_masks(ps)
+            masks = ps.ccw
             pts = ps.points
             for i in range(ps.n):
                 for j in range(ps.n):
@@ -61,27 +55,27 @@ class TestOrientation:
 
 class TestSegmentsCross:
     def test_x_shape(self):
-        assert segments_cross(P(0, 0), P(2, 2, 1), P(0, 2, 2), P(2, 0, 3))
+        assert segments_cross(Point(0, 0), Point(2, 2), Point(0, 2), Point(2, 0))
 
     def test_shared_endpoint(self):
-        assert not segments_cross(P(0, 0), P(1, 0, 1), P(0, 0, 2), P(0, 1, 3))
+        assert not segments_cross(Point(0, 0), Point(1, 0), Point(0, 0), Point(0, 1))
 
     def test_parallel_disjoint(self):
-        assert not segments_cross(P(0, 0), P(1, 0, 1), P(0, 1, 2), P(1, 1, 3))
+        assert not segments_cross(Point(0, 0), Point(1, 0), Point(0, 1), Point(1, 1))
 
     def test_degenerate_raises(self):
         with pytest.raises(GeneralPositionError):
-            segments_cross(P(0, 0), P(2, 2, 1), P(1, 1, 2), P(3, 0, 3))
+            segments_cross(Point(0, 0), Point(2, 2), Point(1, 1), Point(3, 0))
 
     def test_identical_segments_rejected(self):
         with pytest.raises(ValueError):
-            segments_cross(P(0, 0), P(1, 1, 1), P(0, 0, 2), P(1, 1, 3))
+            segments_cross(Point(0, 0), Point(1, 1), Point(0, 0), Point(1, 1))
 
     @given(st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
                     min_size=4, max_size=4, unique=True))
     @settings(max_examples=300)
     def test_symmetry_and_reversal(self, pts):
-        a, b, c, d = (P(x, y, i) for i, (x, y) in enumerate(pts))
+        a, b, c, d = (Point(x, y) for x, y in pts)
         try:
             r = segments_cross(a, b, c, d)
         except GeneralPositionError:
@@ -97,7 +91,7 @@ class TestSegmentsCross:
             pts = [(rng.randrange(-200, 201), rng.randrange(-200, 201)) for _ in range(4)]
             if len(set(pts)) < 4:
                 continue
-            points = [P(x, y, i) for i, (x, y) in enumerate(pts)]
+            points = [Point(x, y) for x, y in pts]
             try:
                 got = segments_cross(*points)
             except GeneralPositionError:
@@ -108,15 +102,13 @@ class TestSegmentsCross:
 
 class TestValidation:
     def test_ok(self):
-        assert general_position_violations(coords((0, 0), (1, 0), (0, 1)).points) == []
+        assert gp_violations([(0, 0), (1, 0), (0, 1)]) == []
 
     def test_collinear_triple_listed(self):
-        pts = tuple(Point(x, y, i) for i, (x, y) in enumerate([(0, 0), (1, 1), (2, 2)]))
-        assert general_position_violations(pts) == [("collinear", (0, 1, 2))]
+        assert gp_violations([(0, 0), (1, 1), (2, 2)]) == [("collinear", (0, 1, 2))]
 
     def test_duplicate_listed(self):
-        pts = tuple(Point(x, y, i) for i, (x, y) in enumerate([(0, 0), (0, 0), (1, 1)]))
-        violations = general_position_violations(pts)
+        violations = gp_violations([(0, 0), (0, 0), (1, 1)])
         assert ("duplicate", (0, 1)) in violations
 
     def test_from_coords_raises(self):
@@ -125,18 +117,18 @@ class TestValidation:
 
     def test_constructor_rejects_collinear_triple(self):
         with pytest.raises(GeneralPositionError) as err:
-            PointSet((Point(0, 0, 0), Point(1, 1, 1), Point(2, 2, 2)))
+            PointSet((Point(0, 0), Point(1, 1), Point(2, 2)))
         assert err.value.violations == [("collinear", (0, 1, 2))]
 
     def test_constructor_rejects_duplicate_point(self):
         with pytest.raises(GeneralPositionError) as err:
-            PointSet((Point(0, 0, 0), Point(4, 0, 1), Point(0, 4, 2), Point(4, 0, 3)))
+            PointSet((Point(0, 0), Point(4, 0), Point(0, 4), Point(4, 0)))
         assert ("duplicate", (1, 3)) in err.value.violations
 
     def test_coordinate_cap(self):
         with pytest.raises(ValueError):
-            Point(COORD_LIMIT + 1, 0, 0)
-        Point(COORD_LIMIT, -COORD_LIMIT, 0)  # boundary is allowed
+            Point(COORD_LIMIT + 1, 0)
+        Point(COORD_LIMIT, -COORD_LIMIT)  # boundary is allowed
 
 
 class TestConvexHull:
@@ -177,7 +169,7 @@ class TestPtsFormat:
 
     def test_labels_by_line_order(self):
         ps = parse_pts("3\n5 7\n-1 2\n0 0\n")
-        assert [(p.x, p.y, p.label) for p in ps.points] == [(5, 7, 0), (-1, 2, 1), (0, 0, 2)]
+        assert ps.coords() == ((5, 7), (-1, 2), (0, 0))  # point i is line i
 
     @pytest.mark.parametrize(
         "text",

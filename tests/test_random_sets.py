@@ -11,17 +11,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from planegraphs import (
-    Point,
     PointSet,
     count_plane_graphs,
     enumerate_plane_graphs,
     expected_degree_vector,
     family_census,
     gen_triangular_hull_random,
-    general_position_violations,
 )
 
-from conftest import brute_degree_rows, count_plane_graphs_bruteforce
+from conftest import brute_degree_rows, count_plane_graphs_bruteforce, gp_violations
 
 
 def point_sets(min_n=4, max_n=6, span=24):
@@ -32,9 +30,7 @@ def point_sets(min_n=4, max_n=6, span=24):
             max_size=max_n,
             unique=True,
         )
-        .filter(lambda coords: not general_position_violations(
-            [Point(x, y, i) for i, (x, y) in enumerate(coords)]
-        ))
+        .filter(lambda coords: not gp_violations(coords))
         .map(PointSet.from_coords)
     )
 
