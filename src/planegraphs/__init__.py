@@ -27,6 +27,7 @@ from .crossings import (  # noqa: F401
 from .enumeration import (  # noqa: F401
     DegreeExpectation,
     EnumerationLimitError,
+    SelfCheckError,
     TriangulationRecord,
     TriangulationStats,
     containing_triangulation,

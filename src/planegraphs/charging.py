@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .enumeration import expected_degree_vector, workspace
+from .enumeration import SelfCheckError, expected_degree_vector, workspace
 from .geometry import PointSet
 
 
@@ -50,7 +50,7 @@ def family_members(ps: PointSet, root: int, p: int) -> list[int]:
     while True:  # submasks of `visible` in increasing order
         edges = root | add
         if ws.blocked(add) & edges:
-            raise AssertionError("family member has a crossing pair")
+            raise SelfCheckError("family member has a crossing pair")
         members.append(edges)
         add = (add - visible) & visible
         if not add:
@@ -156,7 +156,7 @@ def lp_charge_cap(n: int) -> Fraction:
         raise ValueError(f"infeasible charge optimization at n={n}")
     expected = Fraction(11 * n - 6, 112)
     if best != expected or arg != (Fraction(4 * n - 6, 7), Fraction(3 * n + 6, 7)):
-        raise AssertionError(f"charge cap optimum mismatch at n={n}: {best} at {arg}")
+        raise SelfCheckError(f"charge cap optimum mismatch at n={n}: {best} at {arg}")
     return best
 
 
@@ -219,16 +219,16 @@ def charge_audit(ps: PointSet) -> dict:
         total_num += charge[0]
         per_graph.append({"graph": f"{edges:x}", "num": charge[1], "exp": charge[2]})
     if len(per_graph) != dv.pg:
-        raise AssertionError("the scan and the counting DP disagree on pg")
+        raise SelfCheckError("the scan and the counting DP disagree on pg")
     if total_num != zero_vings << top:
-        raise AssertionError("charge conservation failed: total != zero-ving count")
+        raise SelfCheckError("charge conservation failed: total != zero-ving count")
     total_num, total_exp = _dyadic_pair(total_num, top)
 
     census_rows = []
     for p, row in enumerate(dv.per_point):
         census = census_from_degree_row(row)
         if sum(mult << j for j, mult in census.items()) != dv.pg:
-            raise AssertionError(f"family sizes of point {p} do not sum to pg")
+            raise SelfCheckError(f"family sizes of point {p} do not sum to pg")
         for j, mult in census.items():
             census_rows.append({"point": p, "visibility_j": j, "multiplicity": mult})
 

@@ -4,7 +4,8 @@ Subcommands: validate, count, degrees, triangulations, charge-audit, verify,
 gen, construction-report.  Exit status 0 on success, 1 when an applicable
 verified claim is violated, 2 on usage or validation errors, on paths that
 cannot be read or written, and on inputs too large to finish (recursion
-depth or memory exhausted).  Reports are byte-identical across runs.
+depth or memory exhausted), 3 when an internal self-check fails (a fault
+of the program, named on stderr).  Reports are byte-identical across runs.
 
 The point-count cap is a property of the input, and this module alone
 knows it: `--max-n`, else $PLANEGRAPH_MAX_N, else ``DEFAULT_MAX_N``;
@@ -28,6 +29,7 @@ from .constructions import ConstructionSpec, fn_ratio_table, v0_trend_table
 from .charging import charge_audit
 from .enumeration import (
     EnumerationLimitError,
+    SelfCheckError,
     count_plane_graphs,
     enumerate_triangulations,
     expected_degree_vector,
@@ -303,6 +305,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SelfCheckError as exc:  # a fault of the program, not a refuted claim
+        print(f"error: self-check failed: {exc}", file=sys.stderr)
+        return 3
     except (RecursionError, MemoryError) as exc:
         # Huge inputs past the cap (--force) can exhaust the memory, or the
         # recursion limit of the counting DP, the one code that recurses.

@@ -27,10 +27,11 @@ conflict bit-vectors of :mod:`planegraphs.crossings`:
 
 * ``count_plane_graphs`` / ``expected_degree_vector`` never materialize
   graphs.  They use a memoized counting routine on one fixed segment order,
-  by descending crossing count.  Each call splits its segments into
-  connected components of the conflict graph, which multiply; a lone
-  segment is a factor 2, and any other component is memoized by its mask
-  and branches on its first segment in the order.  A fixed order makes the
+  by descending crossing count.  One splitter, ``_Workspace._components``,
+  cuts each call's segments into the connected components of the conflict
+  graph, and stops once every segment is reached.  Components multiply; a
+  lone segment is a factor 2, any other is memoized by its mask and
+  branches on its first segment in the order.  A fixed order makes the
   leftover components of different branches the same masks, so the memo
   hits: convex_chain(20), the worst case, ends with 7,104 entries, where a
   pivot chosen afresh in each component leaves 50,734.  Counting runs
@@ -63,6 +64,11 @@ from .geometry import PointSet
 
 class EnumerationLimitError(RuntimeError):
     """Refusal of a point set above a point-count cap."""
+
+
+class SelfCheckError(RuntimeError):
+    """A failed internal consistency check: a fault of the program, never a
+    refuted claim."""
 
 
 @dataclass(frozen=True)
@@ -135,27 +141,35 @@ class _Workspace:
             mask ^= lsb
         return out
 
+    def _components(self, avail: int) -> Iterator[tuple[int, int]]:
+        """Yield `(comp, bit)` for each connected component of the crossing
+        graph on the rank-space mask `avail`, by ascending lowest bit `bit`.
+        The search grows into `left`, the part of `avail` not reached yet, one
+        frontier segment at a time, and stops as soon as `left` is empty."""
+        rcross = self.rcross
+        while avail:
+            bit = avail & -avail
+            left, frontier = avail ^ bit, bit
+            while frontier and left:
+                lsb = frontier & -frontier
+                frontier ^= lsb
+                grow = rcross[lsb.bit_length() - 1] & left
+                if grow:
+                    left ^= grow
+                    frontier |= grow
+            yield avail ^ left, bit
+            avail = left
+
     def _count(self, avail: int) -> int:
         """The count of :meth:`count_independent` over the rank-space mask
-        `avail`: one pass splits it into connected components, which multiply.
-        A lone segment is a factor 2; any other component branches on its
-        lowest bit, without it and with it (its crossings removed)."""
+        `avail`.  Its components, from :meth:`_components`, multiply.  A lone
+        segment is a factor 2; any other component branches on its lowest
+        bit, without it and with it (its crossings removed)."""
         rcross = self.rcross
         memo = self.memo
         result = 1
         single = 0
-        while avail:
-            bit = avail & -avail
-            comp = frontier = bit
-            while frontier:
-                grow = 0
-                while frontier:
-                    lsb = frontier & -frontier
-                    grow |= rcross[lsb.bit_length() - 1]
-                    frontier ^= lsb
-                frontier = grow & avail & ~comp
-                comp |= frontier
-            avail ^= comp
+        for comp, bit in self._components(avail):
             if comp == bit:
                 single += 1
                 continue
@@ -194,27 +208,16 @@ class _Workspace:
         """:meth:`degree_polynomials` over the rank-space mask `avail`, whose
         bit r is the segment with endpoints ``ends[r]``.
 
-        Components multiply entry by entry; a point that touches no segment
-        of a component takes its plain count.  The branch on the lowest bit
-        e = (a, b) adds its "with" branch to its "without" branch, shifted by
-        one digit at a and b.  A lone segment contributes (1 + x) at its two
-        endpoints and 2 everywhere else.
+        Components, from :meth:`_components`, multiply entry by entry; a point
+        that touches no segment of a component takes its plain count.  The
+        branch on the lowest bit e = (a, b) adds its "with" branch to its
+        "without" branch, shifted by one digit at a and b.  A lone segment
+        contributes (1 + x) at its two endpoints and 2 everywhere else.
         """
         rcross = self.rcross
         result = None
         lone = []
-        while avail:
-            bit = avail & -avail
-            comp = frontier = bit
-            while frontier:
-                grow = 0
-                while frontier:
-                    lsb = frontier & -frontier
-                    grow |= rcross[lsb.bit_length() - 1]
-                    frontier ^= lsb
-                frontier = grow & avail & ~comp
-                comp |= frontier
-            avail ^= comp
+        for comp, bit in self._components(avail):
             r = bit.bit_length() - 1
             if comp == bit:
                 lone.append(r)
@@ -344,7 +347,7 @@ def expected_degree_vector(
     pg = ws.count_independent()
     for row in rows:
         if sum(row) != pg:
-            raise AssertionError("per-point degree counts must partition the census")
+            raise SelfCheckError("per-point degree counts must partition the census")
     ving = tuple(sum(row[i] for row in rows) for i in range(n))
     vhat = tuple(Fraction(v, pg) for v in ving)
     ws.degrees = DegreeExpectation(pg=pg, ving_counts=ving, vhat=vhat, per_point=tuple(rows))

@@ -42,6 +42,7 @@ from .certified import (
 from .charging import _scaled_charge, census_from_degree_row, lp_charge_cap, max_family_charge
 from .constructions import gen_cap_with_apex, gen_convex_chain
 from .enumeration import (
+    SelfCheckError,
     count_plane_graphs,
     enumerate_triangulations,
     expected_degree_vector,
@@ -131,7 +132,7 @@ def verify_vi_upper(ps: PointSet) -> list[VerificationReport]:
         lhs_lo = vhat * vhat * PI_LO * i
         rhs = Fraction(n * n)
         if lhs_lo < rhs <= lhs_hi:
-            raise ArithmeticError(f"pi enclosure too coarse at i={i}")
+            raise SelfCheckError(f"pi enclosure too coarse at i={i}")
         ok = lhs_hi < rhs
         reports.append(_verdict(
             f"vi_upper:i={i}", desc, ok, rhs - (lhs_hi if ok else lhs_lo),
@@ -213,7 +214,7 @@ def _visibility_witness(ps: PointSet, censuses: list[dict[int, int]], j: int) ->
     for edges, blocked in ws.independent_sets(ws.full & ~inc):
         if (inc & ~blocked).bit_count() == j:
             return {"graph": f"{edges:x}", "point": p, "visibility": j}
-    raise AssertionError(f"point {p} has no family root of visibility {j}")
+    raise SelfCheckError(f"point {p} has no family root of visibility {j}")
 
 
 def verify_triangulation_degree_lemmas(ps: PointSet) -> list[VerificationReport]:

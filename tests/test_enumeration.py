@@ -148,6 +148,23 @@ class TestCount:
         count_plane_graphs(ps)
         assert len(enumeration.workspace(ps).memo) <= 10_000
 
+    @pytest.mark.parametrize(
+        "make, entries",
+        [
+            (lambda: gen_convex_chain(20), 7_104),
+            (lambda: gen_convex_chain(21), 8_908),
+            (lambda: gen_triangular_hull_random(16, seed=1), 1_803),
+        ],
+        ids=["convex20", "convex21", "random16"],
+    )
+    def test_memo_size_pinned(self, make, entries):
+        # The component split decides nothing but speed: the recursion, and
+        # with it every memo key, stays the same.
+        ps = make()
+        enumeration._workspace.cache_clear()
+        count_plane_graphs(ps)
+        assert len(enumeration.workspace(ps).memo) == entries
+
     def test_cap_apex_product(self):
         assert count_plane_graphs(gen_cap_with_apex(5)) == 16 * count_plane_graphs(
             gen_convex_chain(4)
@@ -223,8 +240,51 @@ class TestDegreeVector:
         polys[2] ^= 1 << (3 * ws.digit_bits)
         monkeypatch.setattr(enumeration._Workspace, "degree_polynomials", lambda ws: polys)
         enumeration._workspace.cache_clear()
-        with pytest.raises(AssertionError, match="partition the census"):
+        with pytest.raises(enumeration.SelfCheckError, match="partition the census"):
             expected_degree_vector(ps)
+
+
+@st.composite
+def sets_and_masks(draw):
+    """A workspace of up to 10 points in general position (each drawn point
+    kept iff it is collinear with no pair kept before it) and a random
+    sub-mask of its segments."""
+    kept = []
+    for c in draw(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)),
+                           min_size=2, max_size=10, unique=True)):
+        if not gp_violations([*kept, c]):
+            kept.append(c)
+    ws = enumeration._Workspace(PointSet.from_coords(kept))
+    return ws, draw(st.integers(0, ws.full))
+
+
+@given(sets_and_masks())
+@settings(max_examples=80, deadline=None)
+def test_components_match_a_plain_bfs(case):
+    ws, avail = case
+    parts = list(ws._components(avail))
+    union = 0
+    for comp, bit in parts:
+        assert comp & union == 0  # disjoint
+        union |= comp
+        assert bit == comp & -comp
+        # connected: a BFS over the crossings from `bit` reaches all of comp
+        members = {r for r in range(ws.m) if comp >> r & 1}
+        start = bit.bit_length() - 1
+        seen, queue = {start}, [start]
+        while queue:
+            r = queue.pop()
+            for s in members - seen:
+                if ws.rcross[r] >> s & 1:
+                    seen.add(s)
+                    queue.append(s)
+        assert seen == members
+        # closed: no crossing joins it to another component
+        for r in members:
+            assert ws.rcross[r] & avail & ~comp == 0
+    assert union == avail
+    bits = [bit for _, bit in parts]
+    assert bits == sorted(bits)
 
 
 @st.composite
