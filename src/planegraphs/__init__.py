@@ -5,8 +5,6 @@ __version__ = "0.1.0"
 from .geometry import (  # noqa: F401
     COORD_LIMIT,
     GeneralPositionError,
-    Orientation,
-    Point,
     PointSet,
     PtsFormatError,
     convex_hull,

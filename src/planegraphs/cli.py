@@ -201,7 +201,6 @@ def cmd_construction_report(args) -> int:
     _check_cap(args, n_max)
     ratio_rows = fn_ratio_table(n_max)
     trend_rows = v0_trend_table(n_max)
-    product = [verify_product_law(n) for n in range(4, n_max + 1)]
     if args.fmt == "json":
         payload = envelope("construction-report", None) | {
             "fn_ratio": [
@@ -209,7 +208,7 @@ def cmd_construction_report(args) -> int:
             ],
             "v0_trend": trend_rows,
             "product_law": [
-                {"n": 4 + i, "status": r.status} for i, r in enumerate(product)
+                {"n": n, "status": verify_product_law(n).status} for n in range(4, n_max + 1)
             ],
         }
         _emit(dumps_json(payload), args.out)

@@ -19,7 +19,6 @@ from .enumeration import count_plane_graphs, expected_degree_vector
 from .geometry import (
     COORD_LIMIT,
     GeneralPositionError,
-    Point,
     PointSet,
     convex_hull,
     orientation,
@@ -102,7 +101,7 @@ def gen_triangular_hull_random(n: int, seed: int) -> PointSet:
         raise ValueError("needs at least 4 points")
     rng = random.Random(seed)
     size = RANDOM_HULL_SIZE
-    pts = [Point(0, 0), Point(size, 0), Point(0, size)]
+    pts = [(0, 0), (size, 0), (0, size)]
     budget = 20000 * n
     while len(pts) < n:
         budget -= 1
@@ -112,7 +111,7 @@ def gen_triangular_hull_random(n: int, seed: int) -> PointSet:
         y = rng.randrange(1, size - 1)
         if x + y >= size:
             continue
-        c = Point(x, y)
+        c = (x, y)
         if all(orientation(a, b, c) for a, b in combinations(pts, 2)):
             pts.append(c)
     return PointSet(tuple(pts))

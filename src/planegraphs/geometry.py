@@ -4,23 +4,24 @@ Everything downstream (crossing tables, enumeration, charging) reduces to the
 orientation of triples of points, so it is kept exact: coordinates are
 integers capped at |x|, |y| <= 2**20, which keeps every 3x3 orientation
 determinant well inside 64 bits.  There is no floating point anywhere in this
-module.  A point's label is its index in the set.
+module.  A point is its ``(x, y)`` pair, and its label is its index in the set.
 
-A :class:`PointSet` is in general position by construction: all points
-distinct and no three collinear.  One pass when it is built computes each of
-its C(n,3) triple determinants once.  A degenerate input raises
-:class:`GeneralPositionError` with the explicit list of violations instead of
-being silently repaired; otherwise the signs are kept as ``ps.ccw``, one
-bit-vector per ordered pair, which the crossing table and :func:`convex_hull`
-read.  :func:`orientation` and :func:`segments_cross` test points one at a
-time, for generators and as independent oracles.
+A :class:`PointSet` is the one gate for coordinates (a non-int raises
+``TypeError``, one past the cap ``ValueError``) and is in general position by
+construction: all points distinct and no three collinear.  One pass when it
+is built computes each of its C(n,3) triple determinants once.  A degenerate
+input raises :class:`GeneralPositionError` with the explicit list of
+violations instead of being silently repaired; otherwise the signs are kept
+as ``ps.ccw``, one bit-vector per ordered pair, which the crossing table and
+:func:`convex_hull` read.  :func:`orientation` (the sign -1, 0 or 1) and
+:func:`segments_cross` test points one at a time, for generators and as
+independent oracles.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from enum import IntEnum
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -43,42 +44,31 @@ class PtsFormatError(ValueError):
     """Raised for malformed ``.pts`` input."""
 
 
-class Orientation(IntEnum):
-    CW = -1
-    COLLINEAR = 0
-    CCW = 1
-
-
-@dataclass(frozen=True)
-class Point:
-    """An integer point."""
-
-    x: int
-    y: int
-
-    def __post_init__(self):
-        if not (isinstance(self.x, int) and isinstance(self.y, int)):
-            raise TypeError("coordinates must be integers")
-        if abs(self.x) > COORD_LIMIT or abs(self.y) > COORD_LIMIT:
-            raise ValueError(f"|coordinate| of point ({self.x}, {self.y}) exceeds {COORD_LIMIT}")
-
-
 @dataclass(frozen=True)
 class PointSet:
     """An immutable point set in general position: it validates itself on construction.
 
     ``ccw[i][j]`` is the bit-vector of the points k with (i, j, k)
     counter-clockwise, so ``ccw[j][i]`` is the clockwise side of i -> j and
-    the two sides of every line partition the other points.
+    the two sides of every line partition the other points.  Points are
+    stored as tuples, so the set stays hashable.
     """
 
-    points: tuple[Point, ...]
+    points: tuple[tuple[int, int], ...]
     ccw: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        violations, ccw = _orientations(self.points)
+        points = tuple((x, y) for x, y in self.points)
+        for x, y in points:
+            # type, not isinstance: a bool is an int, which .pts would write as "True"
+            if type(x) is not int or type(y) is not int:
+                raise TypeError(f"coordinates must be integers, got ({x!r}, {y!r})")
+            if abs(x) > COORD_LIMIT or abs(y) > COORD_LIMIT:
+                raise ValueError(f"|coordinate| of point ({x}, {y}) exceeds {COORD_LIMIT}")
+        violations, ccw = _orientations(points)
         if violations:
             raise GeneralPositionError(violations)
+        object.__setattr__(self, "points", points)
         object.__setattr__(self, "ccw", ccw)
 
     @property
@@ -87,10 +77,10 @@ class PointSet:
 
     @classmethod
     def from_coords(cls, coords: Iterable[tuple[int, int]]) -> "PointSet":
-        return cls(tuple(Point(int(x), int(y)) for x, y in coords))
+        return cls(tuple(coords))
 
     def coords(self) -> tuple[tuple[int, int], ...]:
-        return tuple((p.x, p.y) for p in self.points)
+        return self.points
 
     def drop(self, i: int) -> "PointSet":
         """The point set without point i; the points after it move down one label."""
@@ -98,7 +88,7 @@ class PointSet:
 
     def to_pts(self) -> str:
         lines = [str(self.n)]
-        lines += [f"{p.x} {p.y}" for p in self.points]
+        lines += [f"{x} {y}" for x, y in self.points]
         return "\n".join(lines) + "\n"
 
     def sha256(self) -> str:
@@ -106,17 +96,15 @@ class PointSet:
         return hashlib.sha256(self.to_pts().encode()).hexdigest()
 
 
-def orientation(a: Point, b: Point, c: Point) -> Orientation:
-    """Sign of the determinant (b - a) x (c - a), computed exactly."""
-    det = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
-    if det > 0:
-        return Orientation.CCW
-    if det < 0:
-        return Orientation.CW
-    return Orientation.COLLINEAR
+def orientation(a: tuple[int, int], b: tuple[int, int], c: tuple[int, int]) -> int:
+    """Sign of the determinant (b - a) x (c - a), computed exactly: 1 when
+    a, b, c turn counter-clockwise, -1 clockwise, 0 collinear."""
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
+    det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    return (det > 0) - (det < 0)
 
 
-def _orientations(pts: Sequence[Point]) -> tuple[list[tuple], tuple[tuple[int, ...], ...]]:
+def _orientations(pts: Sequence[tuple[int, int]]) -> tuple[list[tuple], tuple[tuple[int, ...], ...]]:
     """Every violation of general position, and the ``ccw`` masks of the points.
 
     Violations are (kind, labels) tuples: each duplicate as (first, later),
@@ -127,20 +115,19 @@ def _orientations(pts: Sequence[Point]) -> tuple[list[tuple], tuple[tuple[int, .
     violations: list[tuple] = []
     seen: dict[tuple[int, int], int] = {}
     for i, p in enumerate(pts):
-        first = seen.setdefault((p.x, p.y), i)
+        first = seen.setdefault(p, i)
         if first != i:
             violations.append(("duplicate", (first, i)))
     masks = [[0] * n for _ in range(n)]
-    for i, a in enumerate(pts):
+    for i, (ax, ay) in enumerate(pts):
         bit_i = 1 << i
         for j in range(i + 1, n):
-            b = pts[j]
             bit_j = 1 << j
-            bx, by = b.x - a.x, b.y - a.y
+            bx, by = pts[j][0] - ax, pts[j][1] - ay
             for k in range(j + 1, n):
-                c = pts[k]
+                cx, cy = pts[k]
                 bit_k = 1 << k
-                det = bx * (c.y - a.y) - by * (c.x - a.x)
+                det = bx * (cy - ay) - by * (cx - ax)
                 if det > 0:
                     masks[i][j] |= bit_k
                     masks[j][k] |= bit_i
@@ -154,25 +141,25 @@ def _orientations(pts: Sequence[Point]) -> tuple[list[tuple], tuple[tuple[int, .
     return violations, tuple(map(tuple, masks))
 
 
-def segments_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
+def segments_cross(
+    a: tuple[int, int], b: tuple[int, int], c: tuple[int, int], d: tuple[int, int]
+) -> bool:
     """True iff the open segments ab and cd share an interior point.
 
     Segments that share an endpoint never cross.  A collinear triple among
     the four points (impossible in general position) raises
     GeneralPositionError.
     """
-    if {(a.x, a.y), (b.x, b.y)} == {(c.x, c.y), (d.x, d.y)}:
+    if {a, b} == {c, d}:
         raise ValueError("segments_cross requires two distinct segments")
-    for p in (a, b):
-        for q in (c, d):
-            if p.x == q.x and p.y == q.y:
-                return False
+    if {a, b} & {c, d}:
+        return False
     o1 = orientation(a, b, c)
     o2 = orientation(a, b, d)
     o3 = orientation(c, d, a)
     o4 = orientation(c, d, b)
-    if Orientation.COLLINEAR in (o1, o2, o3, o4):
-        raise GeneralPositionError([("collinear", tuple((p.x, p.y) for p in (a, b, c, d)))])
+    if 0 in (o1, o2, o3, o4):
+        raise GeneralPositionError([("collinear", (a, b, c, d))])
     return o1 != o2 and o3 != o4
 
 
@@ -185,9 +172,8 @@ def convex_hull(ps: PointSet) -> tuple[int, ...]:
     n = ps.n
     if n < 3:
         raise ValueError("convex hull requires at least 3 points")
-    coords = ps.coords()
     everyone = (1 << n) - 1
-    start = i = min(range(n), key=coords.__getitem__)
+    start = i = min(range(n), key=ps.points.__getitem__)
     hull = []
     while True:
         hull.append(i)

@@ -404,8 +404,10 @@ def harmonic_gap_sweep(i_max: int) -> VerificationReport:
     return _sweep("harmonic_gap_ln2", steps(), {"i_max": i_max})
 
 
-def _robbins_margins(m: int, lnfact: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
-    """Certified margins of both Robbins inequalities in the log domain.
+def _robbins_margins(
+    m: int, lnm: tuple[Fraction, Fraction], lnfact: tuple[Fraction, Fraction]
+) -> tuple[Fraction, Fraction]:
+    """Certified margins of both Robbins inequalities, from enclosures of ln m and ln m!.
 
     Returns (ln m! - upper end of the lower bound,
              lower end of the upper bound - ln m!); both must be positive.
@@ -414,7 +416,7 @@ def _robbins_margins(m: int, lnfact: tuple[Fraction, Fraction]) -> tuple[Fractio
     pi_lo, pi_hi = pi_interval()
     tpm_lo = log_interval(Fraction(2 * m) * pi_lo)[0]
     tpm_hi = log_interval(Fraction(2 * m) * pi_hi)[1]
-    lnm_lo, lnm_hi = log_interval(m)
+    lnm_lo, lnm_hi = lnm
     base_lo = tpm_lo / 2 + m * lnm_lo - m
     base_hi = tpm_hi / 2 + m * lnm_hi - m
     lower_hi = base_hi + Fraction(1, 12 * m + 1)
@@ -429,11 +431,11 @@ def stirling_sweep(m_max: int = 500) -> VerificationReport:
     def steps():
         lf_lo = lf_hi = Fraction(0)
         for m in range(1, m_max + 1):
+            lnm = log_interval(m)
             if m > 1:
-                k_lo, k_hi = log_interval(m)
-                lf_lo += k_lo
-                lf_hi += k_hi
-            margin = min(_robbins_margins(m, (lf_lo, lf_hi)))
+                lf_lo += lnm[0]
+                lf_hi += lnm[1]
+            margin = min(_robbins_margins(m, lnm, (lf_lo, lf_hi)))
             yield margin, ({"m": m} if margin <= 0 else None)
 
     return _sweep("stirling_robbins_bounds", steps(), {"m_max": m_max})

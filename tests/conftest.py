@@ -106,7 +106,7 @@ def catalan(k: int) -> int:
 def count_convex_quadruples(ps: PointSet) -> int:
     """Brute-force scan: a 4-subset is in convex position iff no point of it
     lies inside the triangle of the other three."""
-    from planegraphs import Orientation, orientation
+    from planegraphs import orientation
 
     pts = ps.points
     n = len(pts)
@@ -115,7 +115,7 @@ def count_convex_quadruples(ps: PointSet) -> int:
         o1 = orientation(a, b, p)
         o2 = orientation(b, c, p)
         o3 = orientation(c, a, p)
-        return o1 == o2 == o3 != Orientation.COLLINEAR
+        return o1 == o2 == o3 != 0
 
     count = 0
     for i in range(n):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import planegraphs
-from planegraphs import enumeration, gen_cap_with_apex, gen_convex_chain, save_pts
+from planegraphs import cli, enumeration, gen_cap_with_apex, gen_convex_chain, save_pts
 from planegraphs.cli import build_parser, main
 
 from conftest import frames_below
@@ -190,11 +190,16 @@ class TestVerify:
              "21fa6b946f147da1324872498cbd5dd9f090ac7b77d6274bbb5abb2831d58ad9"),
             (None, ("construction-report", 7, "--format", "json"), 0,
              "82b7b1d19a6e06d3e31e1fcc8b8976f7807fde2459c31ad4c7b9b28c3071c8a5"),
+            (None, ("construction-report", 7), 0,
+             "f0c4902f3f8600f6e85d9ecdee03ae5e9d07f7078b5bb590d7c15796e798d167"),
+            (("triangular_hull_random", 9, "--seed", 1), ("degrees", "--format", "csv"), 0,
+             "0a62b10baa8cd237b4d8c1f304076395787742286fa71aa5503a42112810b0cd"),
         ],
         ids=["cap_apex6", "convex5", "random7_seed1", "audit_cap_apex6_json",
              "audit_random7_seed1_json", "audit_cap_apex6_csv", "triangulations_random8_seed1",
              "triangulations_random8_seed1_csv", "degrees_random9_seed1", "degrees_random14_seed1",
-             "construction_report7_json"],
+             "construction_report7_json", "construction_report7_csv",
+             "degrees_random9_seed1_csv"],
     )
     def test_report_bytes_pinned(self, gen_args, argv, code, sha256, tmp_path, capsys):
         if gen_args is None:
@@ -205,6 +210,18 @@ class TestVerify:
             assert run_cli(argv[0], pts, *argv[1:]) == code
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == sha256
+
+    @pytest.mark.parametrize(
+        "fmt, sha256",
+        [("json", "250d1780367be86f34d23aa7c6983f3c9c6999c3a26e645687d8114a66b77093"),
+         ("csv", "af88c5b910feb597954722af1ce32168d42b2767444e7185b9acf02600d1a11c")],
+    )
+    def test_count_out_bytes_pinned(self, fmt, sha256, tmp_path, capsys):
+        pts, out = tmp_path / "in.pts", tmp_path / f"count.{fmt}"
+        assert run_cli("gen", "triangular_hull_random", 9, "--seed", 1, "-o", pts) == 0
+        assert run_cli("count", pts, "--format", fmt, "--out", out) == 0
+        assert capsys.readouterr().out == "59113472\n"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 class TestEmptyPointSet:
@@ -318,6 +335,16 @@ class TestConstructionReport:
         assert payload["product_law"] == [
             {"n": 4, "status": "holds"}, {"n": 5, "status": "holds"}
         ]
+
+    def test_product_law_runs_only_for_json(self, capsys, monkeypatch):
+        # The CSV report has no product_law table, so it checks no law.
+        calls = []
+        real = cli.verify_product_law
+        monkeypatch.setattr(cli, "verify_product_law", lambda n: calls.append(n) or real(n))
+        assert run_cli("construction-report", "6") == 0
+        assert calls == []
+        assert run_cli("construction-report", "6", "--format", "json") == 0
+        assert calls == [4, 5, 6]
 
     def test_cap_exceeded(self, capsys):
         assert run_cli("construction-report", "7", "--max-n", "6") == 2

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planegraphs import (
-    Point,
     PointSet,
     build_crossing_sets,
     build_segment_table,
@@ -123,7 +122,7 @@ def general_position_sets(draw):
     coords = st.tuples(st.integers(0, span), st.integers(0, span))
     pts = []
     for x, y in draw(st.lists(coords, min_size=4, max_size=10, unique=True)):
-        c = Point(x, y)
+        c = (x, y)
         if all(orientation(a, b, c) for i, a in enumerate(pts) for b in pts[i + 1:]):
             pts.append(c)
     return PointSet(tuple(pts))

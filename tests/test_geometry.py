@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from planegraphs import (
     COORD_LIMIT,
     GeneralPositionError,
-    Orientation,
-    Point,
     PointSet,
     PtsFormatError,
     convex_hull,
@@ -22,19 +20,19 @@ from conftest import coords, gp_violations, segments_cross_oracle, standard_smal
 
 class TestOrientation:
     def test_unit_right_turn_convention(self):
-        assert orientation(Point(0, 0), Point(1, 0), Point(0, 1)) == Orientation.CCW
+        assert orientation((0, 0), (1, 0), (0, 1)) == 1
 
     def test_collinear(self):
-        assert orientation(Point(0, 0), Point(1, 1), Point(2, 2)) == Orientation.COLLINEAR
+        assert orientation((0, 0), (1, 1), (2, 2)) == 0
 
     def test_mirror_is_cw(self):
-        assert orientation(Point(0, 0), Point(0, 1), Point(1, 0)) == Orientation.CW
+        assert orientation((0, 0), (0, 1), (1, 0)) == -1
 
     @given(st.lists(st.tuples(st.integers(-60, 60), st.integers(-60, 60)),
                     min_size=3, max_size=3, unique=True))
     @settings(max_examples=300)
     def test_cyclic_and_antisymmetric(self, pts):
-        a, b, c = (Point(x, y) for x, y in pts)
+        a, b, c = pts
         o = orientation(a, b, c)
         assert o == orientation(b, c, a) == orientation(c, a, b)
         assert o == -orientation(b, a, c) == -orientation(a, c, b)
@@ -48,34 +46,34 @@ class TestOrientation:
                     expected = sum(
                         1 << k
                         for k in range(ps.n)
-                        if len({i, j, k}) == 3 and orientation(pts[i], pts[j], pts[k]) == Orientation.CCW
+                        if len({i, j, k}) == 3 and orientation(pts[i], pts[j], pts[k]) == 1
                     )
                     assert masks[i][j] == expected
 
 
 class TestSegmentsCross:
     def test_x_shape(self):
-        assert segments_cross(Point(0, 0), Point(2, 2), Point(0, 2), Point(2, 0))
+        assert segments_cross((0, 0), (2, 2), (0, 2), (2, 0))
 
     def test_shared_endpoint(self):
-        assert not segments_cross(Point(0, 0), Point(1, 0), Point(0, 0), Point(0, 1))
+        assert not segments_cross((0, 0), (1, 0), (0, 0), (0, 1))
 
     def test_parallel_disjoint(self):
-        assert not segments_cross(Point(0, 0), Point(1, 0), Point(0, 1), Point(1, 1))
+        assert not segments_cross((0, 0), (1, 0), (0, 1), (1, 1))
 
     def test_degenerate_raises(self):
         with pytest.raises(GeneralPositionError):
-            segments_cross(Point(0, 0), Point(2, 2), Point(1, 1), Point(3, 0))
+            segments_cross((0, 0), (2, 2), (1, 1), (3, 0))
 
     def test_identical_segments_rejected(self):
         with pytest.raises(ValueError):
-            segments_cross(Point(0, 0), Point(1, 1), Point(0, 0), Point(1, 1))
+            segments_cross((0, 0), (1, 1), (0, 0), (1, 1))
 
     @given(st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
                     min_size=4, max_size=4, unique=True))
     @settings(max_examples=300)
     def test_symmetry_and_reversal(self, pts):
-        a, b, c, d = (Point(x, y) for x, y in pts)
+        a, b, c, d = pts
         try:
             r = segments_cross(a, b, c, d)
         except GeneralPositionError:
@@ -91,9 +89,8 @@ class TestSegmentsCross:
             pts = [(rng.randrange(-200, 201), rng.randrange(-200, 201)) for _ in range(4)]
             if len(set(pts)) < 4:
                 continue
-            points = [Point(x, y) for x, y in pts]
             try:
-                got = segments_cross(*points)
+                got = segments_cross(*pts)
             except GeneralPositionError:
                 continue
             assert got == segments_cross_oracle(*pts)
@@ -117,18 +114,30 @@ class TestValidation:
 
     def test_constructor_rejects_collinear_triple(self):
         with pytest.raises(GeneralPositionError) as err:
-            PointSet((Point(0, 0), Point(1, 1), Point(2, 2)))
+            PointSet(((0, 0), (1, 1), (2, 2)))
         assert err.value.violations == [("collinear", (0, 1, 2))]
 
     def test_constructor_rejects_duplicate_point(self):
         with pytest.raises(GeneralPositionError) as err:
-            PointSet((Point(0, 0), Point(4, 0), Point(0, 4), Point(4, 0)))
+            PointSet(((0, 0), (4, 0), (0, 4), (4, 0)))
         assert ("duplicate", (1, 3)) in err.value.violations
 
     def test_coordinate_cap(self):
-        with pytest.raises(ValueError):
-            Point(COORD_LIMIT + 1, 0)
-        Point(COORD_LIMIT, -COORD_LIMIT)  # boundary is allowed
+        for far in ((COORD_LIMIT + 1, 0), (0, -COORD_LIMIT - 1)):
+            with pytest.raises(ValueError, match="exceeds"):
+                PointSet.from_coords([far, (1, 1), (2, 3)])
+        PointSet.from_coords([(COORD_LIMIT, -COORD_LIMIT), (1, 1), (2, 3)])  # boundary is allowed
+
+    @pytest.mark.parametrize("bad", [(0.9, 0), ("3", 1), (0, 4.0), (True, 0)])
+    def test_non_int_coordinate_is_refused_not_coerced(self, bad):
+        # A coordinate is checked, never coerced: (0.9, 0) is not the point (0, 0).
+        with pytest.raises(TypeError):
+            PointSet.from_coords([bad, (4, 0), (0, 4)])
+
+    def test_list_points_are_stored_as_tuples(self, triangle):
+        ps = PointSet([[0, 0], [4, 0], [0, 4]])
+        assert ps.points == ((0, 0), (4, 0), (0, 4))
+        assert ps == triangle and hash(ps) == hash(triangle)
 
 
 class TestConvexHull:
@@ -150,7 +159,7 @@ class TestConvexHull:
             k = len(hull)
             for i in range(k):
                 a, b, c = pts[hull[i]], pts[hull[(i + 1) % k]], pts[hull[(i + 2) % k]]
-                assert orientation(a, b, c) == Orientation.CCW
+                assert orientation(a, b, c) == 1
 
     def test_too_small(self):
         with pytest.raises(ValueError):
@@ -173,7 +182,8 @@ class TestPtsFormat:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "x\n1 2\n", "2\n1 2\n", "1\n1 2 3\n", "1\n1 a\n", "2\n1 2\n3 4\n5 6\n"],
+        ["", "x\n1 2\n", "2\n1 2\n", "1\n1 2 3\n", "1\n1 a\n", "1\n0.5 0\n",
+         "2\n1 2\n3 4\n5 6\n"],
     )
     def test_malformed(self, text):
         with pytest.raises(PtsFormatError):

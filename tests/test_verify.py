@@ -17,6 +17,7 @@ from planegraphs import (
     verify_visibility_lemma,
     verify_zero_ving_recurrence,
 )
+from planegraphs import verify
 from planegraphs.verify import (
     HOLDS,
     NOT_APPLICABLE,
@@ -196,6 +197,14 @@ class TestAnalytic:
         report = stirling_sweep(60)
         assert report.status == HOLDS
         assert report.margin > 0
+
+    def test_stirling_encloses_ln_m_once(self, monkeypatch):
+        # Per m: ln m, and ln(2 pi m) at each end of the pi enclosure.
+        calls = []
+        real = verify.log_interval
+        monkeypatch.setattr(verify, "log_interval", lambda x: calls.append(x) or real(x))
+        stirling_sweep(60)
+        assert len(calls) == 3 * 60
 
     def test_central_binomial(self):
         assert central_binomial_sweep(500).status == HOLDS
