@@ -28,7 +28,6 @@ from .enumeration import (  # noqa: F401
     SelfCheckError,
     TriangulationRecord,
     TriangulationStats,
-    containing_triangulation,
     count_plane_graphs,
     enumerate_plane_graphs,
     enumerate_triangulations,

@@ -113,51 +113,27 @@ def graph_charge_v0(ps: PointSet, edges: int) -> Fraction:
 
 
 def lp_charge_cap(n: int) -> Fraction:
-    """Exact optimum of v3/8 + v4/16 + (n-v3-v4)/32 under the degree bounds.
-
-    Constraints: v3 <= 2n/3 - 1, 9 v3 + 2 v4 <= 6n - 6, v3, v4 >= 0,
-    v3 + v4 <= n.  Solved by enumerating intersection points of constraint
-    boundary pairs (2 variables, so vertex enumeration is exhaustive); the
-    optimum is (11n - 6)/112 at v3 = (4n-6)/7, v4 = (3n+6)/7.
-    """
+    """Exact optimum (11n - 6)/112 of v3/8 + v4/16 + (n-v3-v4)/32 under the
+    degree bounds v3 <= 2n/3 - 1, 9 v3 + 2 v4 <= 6n - 6, v3 + v4 <= n and
+    v3, v4 >= 0, certified by LP duality: v3 = (4n-6)/7, v4 = (3n+6)/7 is
+    feasible, and the multipliers 2/7 and 3/7 on the second and third bounds
+    are non-negative and sum them to the objective's coefficients (3, 1), so
+    no feasible point beats the bound they give, which that point attains."""
     if n < 5:
         raise ValueError("the charge cap optimization requires n >= 5")
-    # rows (a, b, c) meaning a*v3 + b*v4 <= c
-    cons = [
-        (Fraction(1), Fraction(0), Fraction(2 * n, 3) - 1),
-        (Fraction(9), Fraction(2), Fraction(6 * n - 6)),
-        (Fraction(-1), Fraction(0), Fraction(0)),
-        (Fraction(0), Fraction(-1), Fraction(0)),
-        (Fraction(1), Fraction(1), Fraction(n)),
-    ]
-
-    def feasible(v3: Fraction, v4: Fraction) -> bool:
-        return all(a * v3 + b * v4 <= c for a, b, c in cons)
-
-    def objective(v3: Fraction, v4: Fraction) -> Fraction:
-        return Fraction(n + 3 * v3 + v4, 32)
-
-    best: Fraction | None = None
-    arg = None
-    for idx1 in range(len(cons)):
-        for idx2 in range(idx1 + 1, len(cons)):
-            a1, b1, c1 = cons[idx1]
-            a2, b2, c2 = cons[idx2]
-            det = a1 * b2 - a2 * b1
-            if det == 0:
-                continue
-            v3 = (c1 * b2 - c2 * b1) / det
-            v4 = (a1 * c2 - a2 * c1) / det
-            if feasible(v3, v4):
-                val = objective(v3, v4)
-                if best is None or val > best:
-                    best, arg = val, (v3, v4)
-    if best is None:
-        raise ValueError(f"infeasible charge optimization at n={n}")
-    expected = Fraction(11 * n - 6, 112)
-    if best != expected or arg != (Fraction(4 * n - 6, 7), Fraction(3 * n + 6, 7)):
-        raise SelfCheckError(f"charge cap optimum mismatch at n={n}: {best} at {arg}")
-    return best
+    v3, v4 = Fraction(4 * n - 6, 7), Fraction(3 * n + 6, 7)
+    y9, y1 = Fraction(2, 7), Fraction(3, 7)
+    primal = Fraction(n + 3 * v3 + v4, 32)
+    dual = Fraction(n + y9 * (6 * n - 6) + y1 * n, 32)
+    certified = (
+        0 <= v3 <= Fraction(2 * n, 3) - 1 and v4 >= 0
+        and 9 * v3 + 2 * v4 <= 6 * n - 6 and v3 + v4 <= n
+        and y9 >= 0 and y1 >= 0 and (9 * y9 + y1, 2 * y9 + y1) == (3, 1)
+        and primal == dual == Fraction(11 * n - 6, 112)
+    )
+    if not certified:
+        raise SelfCheckError(f"charge cap optimum mismatch at n={n}: {primal} at {(v3, v4)}")
+    return primal
 
 
 def census_from_degree_row(row: tuple[int, ...]) -> dict[int, int]:
@@ -196,10 +172,12 @@ def charge_audit(ps: PointSet) -> dict:
     A graph's charge depends only on its blocked mask, and a segment that
     crosses nothing (every hull edge, at least) never changes that mask, so
     the masks repeat: with f such segments there are at most pg / 2^f of
-    them.  Each charge is computed once per distinct mask.  The rows of
-    ``per_graph_charges`` are in the report's shape: ``{"graph": hex edge
-    mask, "num": decimal string, "exp": int}``, the charge num / 2^exp in
-    lowest terms.
+    them.  Each charge is computed once per distinct mask.
+
+    The result is the body of the ``charge-audit`` report: pg and the
+    0-ving count as decimal strings, and each charge, the total's as well,
+    as ``{"num": decimal string, "exp": int}``, num / 2^exp in lowest
+    terms; a ``per_graph_charges`` row adds ``"graph"``, the hex edge mask.
     """
     dv = expected_degree_vector(ps)
     zero_vings = dv.ving_counts[0] if ps.n else 0
@@ -233,10 +211,9 @@ def charge_audit(ps: PointSet) -> dict:
             census_rows.append({"point": p, "visibility_j": j, "multiplicity": mult})
 
     return {
-        "pg": dv.pg,
-        "zero_ving_count": zero_vings,
-        "total_charge_numerator": total_num,
-        "total_charge_exponent": total_exp,
+        "pg": str(dv.pg),
+        "zero_ving_count": str(zero_vings),
+        "total_charge": {"num": str(total_num), "exp": total_exp},
         "per_graph_charges": per_graph,
         "family_census": census_rows,
     }

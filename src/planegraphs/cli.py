@@ -93,13 +93,13 @@ def cmd_validate(args) -> int:
 def cmd_count(args) -> int:
     ps = _load(args)
     pg = count_plane_graphs(ps)
-    print(pg)
-    if args.out is not None:
+    if args.out is not None:  # written first: a failed write leaves stdout empty
         if args.fmt == "json":
             payload = envelope("count", ps) | {"n": ps.n, "pg": str(pg)}
             _emit(dumps_json(payload), args.out)
         else:
             _emit(dumps_csv("count", ps, ["n", "pg"], [[ps.n, pg]]), args.out)
+    print(pg)
     return 0
 
 
@@ -156,17 +156,7 @@ def cmd_charge_audit(args) -> int:
     ps = _load(args)
     audit = charge_audit(ps)
     if args.fmt == "json":
-        payload = envelope("charge-audit", ps) | {
-            "pg": str(audit["pg"]),
-            "zero_ving_count": str(audit["zero_ving_count"]),
-            "total_charge": {
-                "num": str(audit["total_charge_numerator"]),
-                "exp": audit["total_charge_exponent"],
-            },
-            "per_graph_charges": audit["per_graph_charges"],
-            "family_census": audit["family_census"],
-        }
-        _emit(dumps_json(payload), args.out)
+        _emit(dumps_json(envelope("charge-audit", ps) | audit), args.out)
     else:
         rows = [
             [row["point"], row["visibility_j"], row["multiplicity"]]

@@ -30,7 +30,6 @@ class SegmentTable:
 
     n: int
     segments: tuple[tuple[int, int], ...]
-    index_of: dict[tuple[int, int], int]
     incident_masks: tuple[int, ...]      # per point: mask of incident segments
 
     @property
@@ -56,12 +55,11 @@ class CrossingSets:
 def build_segment_table(ps: PointSet) -> SegmentTable:
     n = ps.n
     segments = tuple((i, j) for i in range(n) for j in range(i + 1, n))
-    index_of = {seg: k for k, seg in enumerate(segments)}
     incident = [0] * n
     for k, (i, j) in enumerate(segments):
         incident[i] |= 1 << k
         incident[j] |= 1 << k
-    return SegmentTable(n=n, segments=segments, index_of=index_of, incident_masks=tuple(incident))
+    return SegmentTable(n=n, segments=segments, incident_masks=tuple(incident))
 
 
 def build_crossing_sets(ps: PointSet, table: SegmentTable) -> CrossingSets:

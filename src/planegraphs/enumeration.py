@@ -360,21 +360,6 @@ def is_triangulation(ps: PointSet, edges: int) -> bool:
     return not (ws.full & ~edges & ~ws.blocked(edges))
 
 
-def containing_triangulation(ps: PointSet, edges: int) -> int:
-    """The triangulation obtained by repeatedly adding the lowest addable segment."""
-    ws = workspace(ps)
-    blocked = ws.blocked(edges)
-    if blocked & edges:
-        raise ValueError("input edge set has a crossing pair")
-    avail = ws.full & ~edges & ~blocked
-    while avail:
-        lsb = avail & -avail
-        edges |= lsb
-        avail &= ~ws.cross[lsb.bit_length() - 1]
-        avail ^= lsb
-    return edges
-
-
 def enumerate_triangulations(ps: PointSet) -> TriangulationStats:
     """Visit exactly the maximal plane graphs; record per-graph degree data.
 

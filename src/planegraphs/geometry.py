@@ -21,11 +21,13 @@ independent oracles.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
 COORD_LIMIT = 1 << 20
+_DECIMAL = re.compile(r"[+-]?[0-9]+")  # a .pts number: optional sign, ASCII digits
 
 
 class GeneralPositionError(ValueError):
@@ -188,14 +190,14 @@ def is_triangular_hull(ps: PointSet) -> bool:
 
 
 def parse_pts(text: str) -> PointSet:
-    """Parse the ``.pts`` format: first line n, then n lines ``x y``."""
+    """Parse the ``.pts`` format: first line n, then n lines ``x y``, every
+    number in ASCII decimal."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise PtsFormatError("empty .pts input")
-    try:
-        n = int(lines[0])
-    except ValueError:
+    if not _DECIMAL.fullmatch(lines[0]):
         raise PtsFormatError(f"first line must be a point count, got {lines[0]!r}")
+    n = int(lines[0])
     if n < 0 or len(lines) != n + 1:
         raise PtsFormatError(f"expected {n} coordinate lines, got {len(lines) - 1}")
     coords = []
@@ -203,10 +205,9 @@ def parse_pts(text: str) -> PointSet:
         parts = ln.split()
         if len(parts) != 2:
             raise PtsFormatError(f"expected 'x y', got {ln!r}")
-        try:
-            coords.append((int(parts[0]), int(parts[1])))
-        except ValueError:
+        if not all(map(_DECIMAL.fullmatch, parts)):
             raise PtsFormatError(f"non-integer coordinate in {ln!r}")
+        coords.append((int(parts[0]), int(parts[1])))
     return PointSet.from_coords(coords)
 
 

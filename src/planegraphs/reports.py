@@ -7,21 +7,19 @@ identical inputs and flags produce byte-identical bytes.  Big counts are
 decimal strings, rationals are {"num", "den"} pairs; nothing is ever rounded.
 
 ``dumps_json`` writes the text in one recursive pass over the payload,
-without a converted copy of it.  Its bytes are those of
-``json.dumps(indent=2, sort_keys=True)`` on the lossless form of the payload:
-keys become ``str(k)``, a Fraction a {"den", "num"} object of decimal
-strings, and an int of magnitude at least 2^53 a decimal string.  Each
-separator and indent goes out in one chunk with the scalar or bracket that
-follows it, as in the stdlib encoder, so the chunk list stays short.
+without a converted copy of it.  A payload holds dicts with str keys,
+lists, str, int, bool, None, Fraction and float, of exactly those types;
+anything else raises ``TypeError``.  Its bytes are those of
+``json.dumps(indent=2, sort_keys=True)`` on the lossless form of the
+payload: a Fraction becomes a {"den", "num"} object of decimal strings, and
+an int of magnitude at least 2^53 a decimal string.  Each separator and
+indent goes out in one chunk with the scalar or bracket that follows it, as
+in the stdlib encoder, so the chunk list stays short.
 
-The writer dispatches on the exact type first: str, int, dict, list and
-tuple need no ``isinstance`` test, and a dict writes its str and small-int
-values, and a list its small ints, in its own loop without a call.  None,
-bools, Fraction, float and every subclass take an ``isinstance`` chain.
-Reports repeat a few dict shapes many times, so each call keeps a cache
-from a dict's key tuple to its sorted, encoded keys.  A dict with a key
-that is not a str is rebuilt with ``str(k)`` keys instead, so of keys with
-equal text (``1`` and ``"1"``) the last one still wins.
+The writer dispatches on the exact type, and a dict writes its str and
+small-int values, and a list its small ints, in its own loop without a
+call.  Reports repeat a few dict shapes many times, so each call keeps a
+cache from a dict's key tuple to its sorted, encoded keys.
 """
 
 from __future__ import annotations
@@ -57,38 +55,19 @@ def dumps_json(payload: dict) -> str:
     return "".join(chunks)
 
 
-_DIRECT = (str, int, dict, list, tuple)  # exact types dispatched on without isinstance
-
-
 def _write_json(obj, lead: str, newline: str, out: Callable[[str], None], shapes: dict) -> None:
     """Pass `lead` and then the JSON text of `obj` to `out`, with nested
     lines starting at `newline` plus two spaces.  `lead` goes out in the same
     chunk as a scalar or an opening bracket.  `shapes` is the key cache of
     one ``dumps_json`` call: a dict's key tuple to its sorted pairs of key
-    and encoded ``"key": ``, or to [] when some key is not a str."""
+    and encoded ``"key": ``.  Key types are checked on a cache miss, so a
+    str subclass key equal to a str one already cached is written as text."""
     kind = type(obj)
-    if kind not in _DIRECT:
-        if obj is None:
-            out(lead + "null")
-            return
-        if obj is True or obj is False:
-            out(lead + ("true" if obj else "false"))
-            return
-        if isinstance(obj, Fraction):
-            inner = newline + "  "
-            out(f'{lead}{{{inner}"den": "{obj.denominator}",{inner}"num": "{obj.numerator}"{newline}}}')
-            return
-        if isinstance(obj, float):
-            out(lead + json.dumps(obj))
-            return
-        kind = next((base for base in _DIRECT if isinstance(obj, base)), None)
-        if kind is None:
-            raise TypeError(f"cannot serialize {type(obj).__name__}")
     if kind is str:
         out(lead + _encode_str(obj))
     elif kind is int:
         out(lead + (int.__repr__(obj) if -_EXACT < obj < _EXACT else f'"{obj}"'))
-    elif not obj:
+    elif (kind is dict or kind is list) and not obj:
         out(lead + ("{}" if kind is dict else "[]"))
     elif kind is dict:
         inner = newline + "  "
@@ -96,11 +75,9 @@ def _write_json(obj, lead: str, newline: str, out: Callable[[str], None], shapes
         shape = tuple(obj)
         names = shapes.get(shape)
         if names is None:
-            strs = all(type(k) is str for k in shape)
-            names = shapes[shape] = [(k, _encode_str(k) + ": ") for k in sorted(shape)] if strs else []
-        if not names:  # keys become str(k); of keys with equal text the last wins
-            obj = {str(k): v for k, v in obj.items()}
-            names = [(k, _encode_str(k) + ": ") for k in sorted(obj)]
+            if not all(type(k) is str for k in shape):
+                raise TypeError("cannot serialize a dict key that is not a str")
+            names = shapes[shape] = [(k, _encode_str(k) + ": ") for k in sorted(shape)]
         sep = lead + "{" + inner
         for key, name in names:
             value = obj[key]
@@ -113,7 +90,7 @@ def _write_json(obj, lead: str, newline: str, out: Callable[[str], None], shapes
                 _write_json(value, sep + name, inner, out, shapes)
             sep = comma
         out(newline + "}")
-    else:
+    elif kind is list:
         inner = newline + "  "
         comma = "," + inner
         sep = lead + "[" + inner
@@ -124,6 +101,17 @@ def _write_json(obj, lead: str, newline: str, out: Callable[[str], None], shapes
                 _write_json(value, sep, inner, out, shapes)
             sep = comma
         out(newline + "]")
+    elif obj is None:
+        out(lead + "null")
+    elif kind is bool:
+        out(lead + ("true" if obj else "false"))
+    elif kind is Fraction:
+        inner = newline + "  "
+        out(f'{lead}{{{inner}"den": "{obj.denominator}",{inner}"num": "{obj.numerator}"{newline}}}')
+    elif kind is float:
+        out(lead + json.dumps(obj))
+    else:
+        raise TypeError(f"cannot serialize {kind.__name__}")
 
 
 def csv_header(subcommand: str, ps: PointSet | None) -> list[str]:

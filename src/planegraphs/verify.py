@@ -68,7 +68,7 @@ class VerificationReport:
 
     def __post_init__(self):
         if self.status == VIOLATED and self.witness is None:
-            raise ValueError(f"violated claim {self.claim} carries no witness")
+            raise SelfCheckError(f"violated claim {self.claim} carries no witness")
 
 
 def _descriptor(ps: PointSet) -> str:

@@ -7,15 +7,21 @@ sha256 masked.  A change to those calls that moved input bytes but kept
 their order type would pass that check; these digests catch it in
 milliseconds, where ``perfbench/selftest.py`` takes half a minute.  The
 untranslated builds are pinned in ``test_constructions.py``.
+
+The benchmark also refuses a report whose digest differs from the
+reference; the last test runs its invocations in-process, so such a change
+fails here first.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
 from planegraphs import load_pts
+from planegraphs.cli import main
 
 RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
@@ -76,3 +82,22 @@ def test_inputs_pinned(run, workload, tmp_path):
     assert [(name, inp.n, inp.sha256) for name, inp in inputs.items()] == PINNED[workload]
     for inp in inputs.values():  # the file holds the bytes the digest names
         assert load_pts(inp.path).sha256() == inp.sha256
+
+
+def test_reports_match_the_reference(run, tmp_path, capsys, monkeypatch):
+    # (status, masked sha256) of every invocation at seed 1, as the
+    # benchmark's output check reads them from the CLI's stdout
+    monkeypatch.delenv("PLANEGRAPH_MAX_N", raising=False)
+    reference = json.loads((RUN.parent / "reference.json").read_text())
+    reports = {}
+    for name, workload in run.WORKLOADS.items():
+        (tmp_path / name).mkdir()
+        inputs = run.make_inputs(workload, run.BASE_SEED, tmp_path / name)
+        for inv in workload.invocations:
+            inp = inputs[inv.input_name]
+            status = main([inv.subcommand, str(inp.path), *inv.extra])
+            stdout = capsys.readouterr().out.encode()
+            digest = run.canonical_digest(stdout, inp.sha256)
+            reports[inv.label] = {"status": status, "sha256": digest}
+    assert len(reports) == 12
+    assert reports == reference

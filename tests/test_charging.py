@@ -45,7 +45,7 @@ class TestVisibilityAndPotential:
 
     def test_triangle_single_edge(self, triangle):
         table, _ = structures(triangle)
-        assert visibility(triangle, 1 << table.index_of[(1, 2)], 0) == 2
+        assert visibility(triangle, 1 << table.segments.index((1, 2)), 0) == 2
 
     def test_potential_invariant_under_toggling_own_edges(self, small_sets):
         # the potential of p equals the visibility of its family root, so
@@ -66,7 +66,7 @@ class TestFamilies:
         root = family_root(triangle, 0b111, 0)
         table, _ = structures(triangle)
         assert root & table.incident_masks[0] == 0
-        assert root == 1 << table.index_of[(1, 2)]
+        assert root == 1 << table.segments.index((1, 2))
         assert family_root(triangle, root, 0) == root
 
     def test_members_trivial_family(self, triangle):
@@ -202,9 +202,9 @@ class TestChargeCapLP:
 
 def test_charge_audit_small(triangle):
     audit = charge_audit(triangle)
-    assert audit["pg"] == 8
-    assert audit["zero_ving_count"] == 6
-    assert (audit["total_charge_numerator"], audit["total_charge_exponent"]) == (6, 0)
+    assert audit["pg"] == "8"
+    assert audit["zero_ving_count"] == "6"
+    assert audit["total_charge"] == {"num": "6", "exp": 0}
     assert len(audit["per_graph_charges"]) == 8
     census_by_point = {}
     for row in audit["family_census"]:
@@ -241,7 +241,7 @@ def test_charge_audit_computes_each_charge_once_per_blocked_mask(monkeypatch):
 
     monkeypatch.setattr(charging, "_scaled_charge", counted)
     audit = charge_audit(ps)
-    assert len(audit["per_graph_charges"]) == audit["pg"] == pg == 11264
+    assert len(audit["per_graph_charges"]) == int(audit["pg"]) == pg == 11264
     assert sorted(calls) == sorted(masks)
     assert len(masks) < pg // 8
 

@@ -296,7 +296,7 @@ def test_directory_is_a_usage_error(tri_file, tmp_path, capsys):
     # a path that cannot be read or written exits 2, which `verify` does
     # not use for a violated claim, with one error line
     for argv in (("verify", tmp_path), ("count", tmp_path),
-                 ("degrees", tri_file, "--out", tmp_path)):
+                 ("degrees", tri_file, "--out", tmp_path), ("count", tri_file, "--out", tmp_path)):
         assert run_cli(*argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "", argv

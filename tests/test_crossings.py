@@ -23,7 +23,8 @@ def hull_edge_mask(ps, table) -> int:
     """The segments joining consecutive vertices of `convex_hull(ps)`."""
     hull = convex_hull(ps)
     return sum(
-        1 << table.index_of[(min(a, b), max(a, b))] for a, b in zip(hull, hull[1:] + hull[:1])
+        1 << table.segments.index((min(a, b), max(a, b)))
+        for a, b in zip(hull, hull[1:] + hull[:1])
     )
 
 
@@ -39,7 +40,7 @@ def test_triangle_table(triangle):
 def test_four_points_six_segments(convex4):
     table = build_segment_table(convex4)
     assert table.m == 6
-    assert [table.index_of[s] for s in table.segments] == list(range(6))
+    assert table.segments == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 def test_convex4_single_crossing_pair(convex4):
@@ -47,7 +48,7 @@ def test_convex4_single_crossing_pair(convex4):
     assert crossings.total_crossing_pairs == 1
     # the crossing pair is the two diagonals (0,2) x (1,3)
     table, _ = structures(convex4)
-    k02, k13 = table.index_of[(0, 2)], table.index_of[(1, 3)]
+    k02, k13 = table.segments.index((0, 2)), table.segments.index((1, 3))
     assert crossings.cross[k02] == 1 << k13
     assert crossings.cross[k13] == 1 << k02
 
@@ -64,7 +65,7 @@ def test_incidence_and_pair_index(small_sets):
     for ps in small_sets:
         table, _ = structures(ps)
         for k, (i, j) in enumerate(table.segments):
-            assert table.index_of[(i, j)] == k
+            assert table.segments.index((i, j)) == k
             assert table.incident_masks[i] >> k & 1
             assert table.incident_masks[j] >> k & 1
         for p in range(ps.n):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from planegraphs import (
     EnumerationLimitError,
     PointSet,
-    containing_triangulation,
     convex_hull,
     count_plane_graphs,
     enumerate_plane_graphs,
@@ -322,7 +321,7 @@ class TestTriangulations:
         table, _ = structures(convex4)
         edges = 0
         for seg in [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]:
-            edges |= 1 << table.index_of[seg]
+            edges |= 1 << table.segments.index(seg)
         assert is_triangulation(convex4, edges)
         assert edges.bit_count() == 5 == 3 * 4 - 3 - 4
 
@@ -378,6 +377,16 @@ class TestTriangulations:
                 assert rec.edges.bit_count() == 3 * ps.n - 3 - h
                 assert sum(rec.histogram) == ps.n
 
+    def test_every_plane_graph_lies_in_a_walked_triangulation(self, small_sets):
+        for ps in small_sets:
+            records = enumerate_triangulations(ps).records
+            assert all(is_triangulation(ps, r.edges) for r in records)
+
+            def check(g):
+                assert any(r.edges & g == g for r in records)
+
+            enumerate_plane_graphs(ps, check)
+
     def test_records_histograms(self, convex4):
         stats = enumerate_triangulations(convex4)
         assert stats.count == 2
@@ -389,33 +398,3 @@ class TestTriangulations:
             assert rec.v3 == rec.histogram[3]
             assert rec.v4 == rec.histogram[4]
 
-
-class TestContainingTriangulation:
-    def test_fixpoint(self, triangle):
-        assert containing_triangulation(triangle, 0b111) == 0b111
-
-    def test_empty_triangle(self, triangle):
-        assert containing_triangulation(triangle, 0) == 0b111
-
-    def test_empty_convex4_lowest_index_rule(self, convex4):
-        table, _ = structures(convex4)
-        t = containing_triangulation(convex4, 0)
-        expected = 0
-        for seg in [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]:
-            expected |= 1 << table.index_of[seg]
-        assert t == expected  # hull plus the (0, 2) diagonal
-
-    def test_contains_and_is_triangulation(self, small_sets):
-        for ps in small_sets:
-            def check(g):
-                t = containing_triangulation(ps, g)
-                assert t & g == g
-                assert is_triangulation(ps, t)
-
-            enumerate_plane_graphs(ps, check)
-
-    def test_rejects_crossing_input(self, convex4):
-        table, _ = structures(convex4)
-        bad = (1 << table.index_of[(0, 2)]) | (1 << table.index_of[(1, 3)])
-        with pytest.raises(ValueError):
-            containing_triangulation(convex4, bad)

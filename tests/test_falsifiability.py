@@ -24,8 +24,8 @@ import pytest
 import planegraphs.verify as verify_mod
 from planegraphs import (
     DegreeExpectation,
-    containing_triangulation,
     enumerate_plane_graphs,
+    enumerate_triangulations,
     expected_degree_vector,
     gen_cap_with_apex,
     gen_convex_chain,
@@ -265,16 +265,21 @@ def test_charge_argmax_flags_a_failing_profile(monkeypatch):
 def test_visibility_and_potential_match_geometric_oracle(ps):
     zero_ving_visibilities = []
     charges = []
+    triangulations = [
+        (r.edges, decode(r.edges, ps.n)) for r in enumerate_triangulations(ps).records
+    ]
 
     def check(g: int) -> None:
         edges = decode(g, ps.n)
-        t_edges = decode(containing_triangulation(ps, g), ps.n)
+        containing = [t_edges for t, t_edges in triangulations if t & g == g]
+        assert containing
         for p in range(ps.n):
             vis = oracle_visibility(ps, edges, p)
             assert visibility(ps, g, p) == vis
             assert potential(ps, g, p) == oracle_potential(ps, edges, p)
-            # potential monotonicity: pt(p, G) >= deg_T(p) for T containing G
-            assert potential(ps, g, p) >= sum(1 for e in t_edges if p in e)
+            # potential monotonicity: pt(p, G) >= deg_T(p) for every T containing G
+            for t_edges in containing:
+                assert potential(ps, g, p) >= sum(1 for e in t_edges if p in e)
             if not any(p in e for e in edges):
                 zero_ving_visibilities.append(vis)
         charges.append(graph_charge_v0(ps, g))

@@ -183,7 +183,9 @@ class TestPtsFormat:
     @pytest.mark.parametrize(
         "text",
         ["", "x\n1 2\n", "2\n1 2\n", "1\n1 2 3\n", "1\n1 a\n", "1\n0.5 0\n",
-         "2\n1 2\n3 4\n5 6\n"],
+         "2\n1 2\n3 4\n5 6\n",
+         # numbers are ASCII decimal: no digit separators, no other scripts' digits
+         "1\n1_000 0\n", "1\n\u0663 0\n", "0_3\n0 0\n4 0\n0 4\n", "\u0663\n0 0\n4 0\n0 4\n"],
     )
     def test_malformed(self, text):
         with pytest.raises(PtsFormatError):

@@ -25,8 +25,8 @@ def jsonify(obj):
     if isinstance(obj, (float, str)):
         return obj
     if isinstance(obj, dict):
-        return {str(k): jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+        return {k: jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, list):
         return [jsonify(v) for v in obj]
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -47,14 +47,10 @@ scalars = (
     | st.text()
     | st.sampled_from(["", "\x00\x1f\"\\/", "é ü ∑ 𝄞", " \ud800"])
 )
-keys = st.text(max_size=4) | st.integers(-3, 3)
+keys = st.text(max_size=4)
 payloads = st.recursive(
     scalars,
-    lambda inner: (
-        st.lists(inner, max_size=4)
-        | st.lists(inner, max_size=4).map(tuple)
-        | st.dictionaries(keys, inner, max_size=4)
-    ),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(keys, inner, max_size=4),
     max_leaves=20,
 )
 
@@ -87,25 +83,23 @@ def test_edge_values():
         "ints": EDGE_INTS,
         "floats": [float("nan"), float("inf"), -float("inf"), 0.1, -0.0, 1e300],
         "frac": Fraction(-7, 3),
-        "empty": [{}, [], ()],
-        1: "int key",
-        "1": "the same key as text",
-        "1x": (None, True, False),
+        "empty": [{}, []],
+        "1": "a key that reads as a number",
+        "1x": [None, True, False],
         "text": "tab\there é\x7f",
         "rows": [{"key": i, "value": v, "next": {"value": v}} for i, v in enumerate(ROW_VALUES)],
-        "colliding": [{1: "a", "1": "b"}, {"1": "c", 1: "d"}, {1: "e", "1": "f"}] * 2,
-        "fallback": [
-            OrderedDict([("z", 1), ("a", Level.LOW), (Text("m"), Text("sub"))]),
-            [Level.LOW, Level.HIGH],
-            {"level": Level.HIGH, "text": Text("é"), "pair": Pair(Level.LOW, Text(""))},
-            Pair({"a": 1}, OrderedDict()),
-        ],
     }
     assert dumps_json(payload) == oracle(payload)
     assert dumps_json({}) == "{}\n"
 
 
 def test_rejects_unknown_types():
-    for bad in ({"x": {1, 2}}, {"x": b"bytes"}, {"x": [1j]}):
+    # a tuple, a subclass of a report type and a key that is not a str are
+    # no report's types either
+    for bad in ({"x": {1, 2}}, {"x": b"bytes"}, {"x": [1j]}, {"x": (None, True)},
+                {"x": ()}, {1: "int key"}, {"x": [{1: "a", "1": "b"}]},
+                {"x": OrderedDict()}, {"x": OrderedDict([("z", 1)])}, {"x": Level.LOW},
+                {"x": [Level.HIGH]}, {"x": Text("sub")}, {"x": {Text("m"): 1}},
+                {"x": Pair({"a": 1}, [])}, {"x": [Pair(1, 2)]}):
         with pytest.raises(TypeError, match="cannot serialize"):
             dumps_json(bad)

@@ -3,8 +3,9 @@
 Each internal consistency check is fed a corrupted input: a flipped digit
 in a packed degree row, a miscounted pg, zero-ving count or degree row, an
 LP objective with the wrong weight, a census that names a visibility no
-root has, an enclosure of pi too wide to decide, and a crossing table in
-which every segment crosses itself.  The command line then exits 3, prints
+root has, an enclosure of pi too wide to decide, a crossing table in
+which every segment crosses itself, and a verifier that reports
+"violated" without a witness.  The command line then exits 3, prints
 nothing on stdout, and names the failed check on stderr; exit 1 stays
 reserved for a violated claim.
 """
@@ -123,6 +124,17 @@ def test_pi_enclosure(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(verify_mod, "PI_HI", Fraction(100))
     err = run_failing(capsys, tmp_path, gen_cap_with_apex(6), "verify", "--claims", "vi_upper")
     assert "pi enclosure too coarse at i=1" in err
+
+
+def test_violated_without_witness(monkeypatch, capsys, tmp_path):
+    # a verdict of "violated" that names no witness is a fault of the
+    # verifier, not a refuted claim and not a usage error
+    monkeypatch.setattr(
+        verify_mod, "verify_v0_upper", lambda ps: verify_mod._verdict("v0_upper", "x", False)
+    )
+    ps = gen_triangular_hull_random(6, seed=1)
+    err = run_failing(capsys, tmp_path, ps, "verify", "--claims", "v0_upper")
+    assert err == "error: self-check failed: violated claim v0_upper carries no witness\n"
 
 
 def test_family_member_crossing(monkeypatch):

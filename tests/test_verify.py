@@ -4,6 +4,7 @@ import pytest
 
 from planegraphs import (
     PointSet,
+    SelfCheckError,
     count_plane_graphs,
     gen_cap_with_apex,
     gen_convex_chain,
@@ -214,7 +215,7 @@ class TestAnalytic:
 
 
 def test_violated_report_requires_witness():
-    with pytest.raises(ValueError):
+    with pytest.raises(SelfCheckError, match="violated claim c carries no witness"):
         VerificationReport(claim="c", pointset="-", status=VIOLATED)
     VerificationReport(claim="c", pointset="-", status=VIOLATED, witness={"i": 1})
 
