@@ -8,11 +8,12 @@ depth or memory exhausted), 3 when an internal self-check fails (a fault
 of the program, named on stderr).  Reports are byte-identical across runs.
 
 The point-count cap is a property of the input, and this module alone
-knows it: `--max-n`, else $PLANEGRAPH_MAX_N, else ``DEFAULT_MAX_N``;
-`--force` lifts it.  It is checked once, right after the input is read (the
-.pts file, or `construction-report`'s n_max) and before any work starts, so
-the same n gets the same refusal whatever `--claims` selects, and a refused
-run writes nothing to stdout.  The library functions take no cap.
+knows it: `--max-n`, ``DEFAULT_MAX_N`` unless given.  It is checked once, on
+the count that the .pts file declares on its first line (or on
+`construction-report`'s n_max), before the general-position pass or any
+other work, so the same n gets the same refusal whatever `--claims` selects,
+and a refused run writes nothing to stdout.  `validate` takes no cap, and
+the library functions take none.
 `--format` is on every report command but `verify`, which writes JSON
 alone; `count` always prints pg on stdout, and `--format` shapes its
 `--out` report.
@@ -21,55 +22,44 @@ alone; `count` always prints pg on stdout, and `--format` shapes its
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 from .constructions import ConstructionSpec, fn_ratio_table, v0_trend_table
 from .charging import charge_audit
 from .enumeration import (
-    EnumerationLimitError,
     SelfCheckError,
     count_plane_graphs,
     enumerate_triangulations,
     expected_degree_vector,
 )
-from .geometry import GeneralPositionError, PointSet, load_pts
+from .geometry import GeneralPositionError, PointSet, load_pts, pts_count
 from .reports import dumps_csv, dumps_json, envelope
 from .verify import ALL_CLAIMS, run_claims, verify_product_law
 
 DEFAULT_MAX_N = 12
-ENV_MAX_N = "PLANEGRAPH_MAX_N"
 
 
 def _check_cap(args: argparse.Namespace, n: int) -> None:
-    """Refuse n points above the cap: `--max-n`, else $PLANEGRAPH_MAX_N, else
-    ``DEFAULT_MAX_N``.  `--force` lifts it."""
-    cap = args.max_n
-    if cap is None:
-        env = os.environ.get(ENV_MAX_N)
-        try:
-            cap = int(env) if env else DEFAULT_MAX_N
-        except ValueError:
-            raise ValueError(f"{ENV_MAX_N} must be an integer, got {env!r}") from None
-    if n > cap and not args.force:
-        raise EnumerationLimitError(f"n={n} exceeds the cap of {cap}")
+    if n > args.max_n:
+        raise ValueError(f"n={n} exceeds the cap of {args.max_n} (use --max-n to raise it)")
 
 
 def _load(args: argparse.Namespace) -> PointSet:
-    """The input point set, refused if it exceeds the cap."""
-    ps = load_pts(args.pts)
-    _check_cap(args, ps.n)
-    return ps
+    """The input point set, refused on its declared count if that exceeds the cap."""
+    _check_cap(args, pts_count(Path(args.pts).read_text()))
+    return load_pts(args.pts)
 
 
-def _add_common(parser: argparse.ArgumentParser, formats: bool = True) -> None:
-    parser.add_argument("pts", help="point-set file in .pts format")
-    if formats:
-        parser.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
+def _add_common(parser: argparse.ArgumentParser, fmt: str | None) -> None:
+    """`--format` with default `fmt` (none if `fmt` is None), `--out` and `--max-n`."""
+    if fmt is not None:
+        parser.add_argument("--format", choices=("json", "csv"), default=fmt, dest="fmt")
     parser.add_argument("--out", type=Path, default=None, help="write the report here instead of stdout")
-    parser.add_argument("--max-n", type=int, default=None, help="override the point-count cap")
-    parser.add_argument("--force", action="store_true", help="proceed past the cap")
+    parser.add_argument(
+        "--max-n", type=int, default=DEFAULT_MAX_N,
+        help="refuse inputs of more points (default %(default)s)",
+    )
 
 
 def _emit(text: str, out: Path | None) -> None:
@@ -171,7 +161,7 @@ def cmd_charge_audit(args) -> int:
 
 def cmd_verify(args) -> int:
     ps = _load(args)
-    claims = args.claims.split(",") if args.claims else None
+    claims = args.claims.split(",") if args.claims is not None else None
     reports = run_claims(ps, claims)
     payload = envelope("verify", ps) | {"reports": [vars(r) for r in reports]}
     _emit(dumps_json(payload), args.out)
@@ -237,30 +227,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pts")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("count", help="print pg(P), the number of plane graphs")
-    _add_common(p)
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("degrees", help="exact expected-degree statistics")
-    _add_common(p)
-    p.set_defaults(func=cmd_degrees)
-
-    p = sub.add_parser("triangulations", help="enumerate maximal plane graphs")
-    _add_common(p)
-    p.set_defaults(func=cmd_triangulations)
-
-    p = sub.add_parser("charge-audit", help="per-graph charges and family census")
-    _add_common(p)
-    p.set_defaults(func=cmd_charge_audit)
-
-    p = sub.add_parser("verify", help="run claim verifiers against a point set")
-    _add_common(p, formats=False)
-    p.add_argument(
-        "--claims",
-        default=None,
-        help="comma-separated subset of: " + ", ".join(ALL_CLAIMS),
-    )
-    p.set_defaults(func=cmd_verify)
+    for name, func, fmt, text in (
+        ("count", cmd_count, "json", "print pg(P), the number of plane graphs"),
+        ("degrees", cmd_degrees, "json", "exact expected-degree statistics"),
+        ("triangulations", cmd_triangulations, "json", "enumerate maximal plane graphs"),
+        ("charge-audit", cmd_charge_audit, "json", "per-graph charges and family census"),
+        ("verify", cmd_verify, None, "run claim verifiers against a point set"),  # JSON alone
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("pts", help="point-set file in .pts format")
+        _add_common(p, fmt)
+        p.set_defaults(func=func)
+        if name == "verify":
+            p.add_argument(
+                "--claims",
+                default=None,
+                help="comma-separated subset of: " + ", ".join(ALL_CLAIMS),
+            )
 
     p = sub.add_parser("gen", help="generate a construction and write .pts")
     p.add_argument("kind", choices=("convex_chain", "cap_with_apex", "triangular_hull_random"))
@@ -271,10 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construction-report", help="asymptotics ratio and trend tables")
     p.add_argument("n_max", type=int)
-    p.add_argument("--format", choices=("json", "csv"), default="csv", dest="fmt")
-    p.add_argument("--out", type=Path, default=None)
-    p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--force", action="store_true")
+    _add_common(p, "csv")
     p.set_defaults(func=cmd_construction_report)
 
     return parser
@@ -285,20 +265,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except EnumerationLimitError as exc:
-        print(f"error: {exc} (use --force or --max-n to override)", file=sys.stderr)
-        return 2
-    except OSError as exc:  # a missing, unreadable or unwritable path
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # bad input, a refused cap, or a path that fails
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SelfCheckError as exc:  # a fault of the program, not a refuted claim
         print(f"error: self-check failed: {exc}", file=sys.stderr)
         return 3
     except (RecursionError, MemoryError) as exc:
-        # Huge inputs past the cap (--force) can exhaust the memory, or the
+        # Huge inputs under a raised --max-n can exhaust the memory, or the
         # recursion limit of the counting DP, the one code that recurses.
         print(f"error: input too large ({type(exc).__name__}: {exc})", file=sys.stderr)
         return 2

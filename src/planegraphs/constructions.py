@@ -3,9 +3,10 @@
 The convex "half circle" of the extremal construction is realized as a
 parabola cap (k, -k^2): identical order type (convex position, no three
 collinear by the Vandermonde argument) with exact integer coordinates.  The
-apex of the cap-with-apex construction is certified, not assumed: generation
-fails unless no apex segment crosses any chord of the cap and general
-position holds.
+apex of the cap-with-apex construction is proved to work at one fixed height,
+and the proof is checked, not assumed: generation is a self-check failure
+unless no apex segment crosses any chord of the cap and the hull is the
+expected triangle.
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .enumeration import count_plane_graphs, expected_degree_vector
+from .enumeration import SelfCheckError, count_plane_graphs, expected_degree_vector
 from .geometry import (
     COORD_LIMIT,
-    GeneralPositionError,
     PointSet,
     convex_hull,
     orientation,
@@ -67,24 +67,29 @@ def _apex_certified(ps: PointSet) -> bool:
 def gen_cap_with_apex(n: int) -> PointSet:
     """A parabola cap of n-1 points plus one apex high above it (label 0).
 
-    The apex height starts at 4 (n-1)^2 and doubles until the exhaustive
-    non-crossing certificate and general position both pass; the hull is
-    verified to be the triangle (apex, first cap point, last cap point).
+    Cap point k = 1..n-1 is (k, -k^2) and the apex is (0, h), h = 4 (n-1)^2.
+    The chord through cap points a < b meets x = 0 at height a*b, so:
+
+    - an apex triple (apex, a, b) is collinear only when a*b = h;
+    - the line from the apex to cap point i meets the parabola again at
+      x = h/i > n-1, so it separates a from b only when a < i < b; point i
+      then lies above the chord's line, and an apex segment crosses the
+      chord only when the apex does not, that is when a*b >= h.
+
+    But a*b <= (n-1)(n-2) < h, so this one height is in general position
+    with no apex segment crossing a chord.  The exhaustive non-crossing
+    certificate and the hull, the triangle (apex, first cap point, last cap
+    point), are still checked; a failure is a :class:`SelfCheckError`.
     """
     if n < 4:
         raise ValueError("cap with apex needs at least 4 points")
-    cap = [(k, -k * k) for k in range(1, n)]
     height = 4 * (n - 1) ** 2
-    while height <= COORD_LIMIT:
-        try:
-            ps = PointSet.from_coords([(0, height)] + cap)
-        except GeneralPositionError:
-            pass
-        else:
-            if _apex_certified(ps) and set(convex_hull(ps)) == {0, 1, n - 1}:
-                return ps
-        height *= 2
-    raise ValueError(f"no certified apex height below the coordinate cap for n={n}")
+    if height > COORD_LIMIT:
+        raise ValueError(f"n={n} exceeds the coordinate cap")
+    ps = PointSet.from_coords([(0, height)] + [(k, -k * k) for k in range(1, n)])
+    if not _apex_certified(ps) or set(convex_hull(ps)) != {0, 1, n - 1}:
+        raise SelfCheckError(f"cap_with_apex({n}) failed its apex certificate")
+    return ps
 
 
 RANDOM_HULL_SIZE = 4096  # legs of the random sets' right-triangle hull

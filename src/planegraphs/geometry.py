@@ -189,15 +189,23 @@ def is_triangular_hull(ps: PointSet) -> bool:
     return ps.n >= 3 and len(convex_hull(ps)) == 3
 
 
+def pts_count(text: str) -> int:
+    """The point count that ``.pts`` text declares on its first line, read
+    without touching the coordinates, so a caller can refuse a large input
+    before any geometry runs."""
+    first = next((ln.strip() for ln in text.splitlines() if ln.strip()), None)
+    if first is None:
+        raise PtsFormatError("empty .pts input")
+    if not _DECIMAL.fullmatch(first):
+        raise PtsFormatError(f"first line must be a point count, got {first!r}")
+    return int(first)
+
+
 def parse_pts(text: str) -> PointSet:
     """Parse the ``.pts`` format: first line n, then n lines ``x y``, every
     number in ASCII decimal."""
+    n = pts_count(text)
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise PtsFormatError("empty .pts input")
-    if not _DECIMAL.fullmatch(lines[0]):
-        raise PtsFormatError(f"first line must be a point count, got {lines[0]!r}")
-    n = int(lines[0])
     if n < 0 or len(lines) != n + 1:
         raise PtsFormatError(f"expected {n} coordinate lines, got {len(lines) - 1}")
     coords = []

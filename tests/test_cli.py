@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import planegraphs
-from planegraphs import cli, enumeration, gen_cap_with_apex, gen_convex_chain, save_pts
+from planegraphs import cli, enumeration, gen_cap_with_apex, gen_convex_chain, geometry, save_pts
 from planegraphs.cli import build_parser, main
 
 from conftest import frames_below
@@ -45,6 +45,17 @@ class TestValidate:
         assert run_cli("count", path) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_takes_no_cap(self, tmp_path, capsys):
+        # perfbench/run.py times `validate` with no flag on its inputs of up
+        # to 21 points, past the default cap of the report commands
+        pts = tmp_path / "chain21.pts"
+        save_pts(gen_convex_chain(21), pts)
+        assert run_cli("validate", pts) == 0
+        assert capsys.readouterr().out == "ok: 21 points in general position\n"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("validate", pts, "--max-n", 5)
+        assert exc.value.code == 2
+
 
 class TestCount:
     def test_triangle_prints_8(self, tri_file, capsys):
@@ -54,23 +65,6 @@ class TestCount:
     def test_cap_exceeded(self, tri_file, capsys):
         assert run_cli("count", tri_file, "--max-n", "2") == 2
         assert "exceeds the cap" in capsys.readouterr().err
-
-    def test_force_overrides_cap(self, tri_file, capsys):
-        assert run_cli("count", tri_file, "--max-n", "2", "--force") == 0
-        assert capsys.readouterr().out.strip() == "8"
-
-    def test_env_cap(self, tri_file, capsys, monkeypatch):
-        monkeypatch.setenv("PLANEGRAPH_MAX_N", "2")
-        assert run_cli("count", tri_file) == 2
-        monkeypatch.setenv("PLANEGRAPH_MAX_N", "3")
-        assert run_cli("count", tri_file) == 0
-
-    def test_bad_env_cap_names_the_variable(self, tri_file, capsys, monkeypatch):
-        monkeypatch.setenv("PLANEGRAPH_MAX_N", "abc")
-        assert run_cli("count", tri_file) == 2
-        assert capsys.readouterr().err == (
-            "error: PLANEGRAPH_MAX_N must be an integer, got 'abc'\n"
-        )
 
     def test_json_report(self, tri_file, tmp_path, capsys):
         out = tmp_path / "count.json"
@@ -131,7 +125,7 @@ class TestVerify:
     def test_unknown_claim(self, tri_file, capsys):
         assert run_cli("verify", tri_file, "--claims", "bogus") == 2
 
-    @pytest.mark.parametrize("claims", ["v0_upper,", ","])
+    @pytest.mark.parametrize("claims", ["v0_upper,", ",", ""])
     def test_empty_claim_is_named(self, tri_file, capsys, claims):
         assert run_cli("verify", tri_file, "--claims", claims) == 2
         assert "error: unknown claims: ''\n" in capsys.readouterr().err
@@ -145,20 +139,18 @@ class TestVerify:
         assert len(json.loads(outputs[0])["reports"]) == 2
 
     @pytest.mark.parametrize("claims", ["stirling", "triangulation_degrees"])
-    def test_cap_is_checked_when_the_input_is_read(self, claims, tmp_path, capsys, monkeypatch):
+    def test_cap_is_checked_when_the_input_is_read(self, claims, tmp_path, capsys):
         # Neither claim counts anything on convex_chain(13): stirling is
         # analytic and the triangulation lemmas need a triangular hull.  The
         # cap still refuses the input, as it does for every other claim.
-        monkeypatch.delenv("PLANEGRAPH_MAX_N", raising=False)
         pts = tmp_path / "chain13.pts"
         assert run_cli("gen", "convex_chain", 13, "-o", pts) == 0
         assert run_cli("verify", pts, "--claims", claims) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "exceeds the cap" in captured.err
-        for lift in (("--max-n", 13), ("--force",)):
-            assert run_cli("verify", pts, "--claims", claims, *lift) == 0, lift
-            assert json.loads(capsys.readouterr().out)["reports"], lift
+        assert run_cli("verify", pts, "--claims", claims, "--max-n", 13) == 0
+        assert json.loads(capsys.readouterr().out)["reports"]
 
     # Whole-report digests of every report that `dumps_json` writes, and of
     # the charge-audit and triangulations CSV: any change to a byte of a report shows here.  For
@@ -292,6 +284,21 @@ def test_recursion_limit_is_a_clean_error(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["count"] == "16796"  # Catalan(10)
 
 
+@pytest.mark.parametrize("command", ["count", "degrees", "triangulations", "charge-audit", "verify"])
+def test_cap_is_checked_on_the_count_line(command, tmp_path, capsys, monkeypatch):
+    # the declared count is refused before the O(n^3) general-position pass
+    pts = tmp_path / "chain13.pts"
+    save_pts(gen_convex_chain(13), pts)
+    calls = []
+    real = geometry._orientations
+    monkeypatch.setattr(geometry, "_orientations", lambda p: calls.append(len(p)) or real(p))
+    assert run_cli(command, pts) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n=13 exceeds the cap of 12 (use --max-n to raise it)\n"
+    assert calls == []
+
+
 def test_directory_is_a_usage_error(tri_file, tmp_path, capsys):
     # a path that cannot be read or written exits 2, which `verify` does
     # not use for a violated claim, with one error line
@@ -411,19 +418,17 @@ def test_light_commands_do_not_import_mpmath_or_pools(tmp_path):
     assert "mpmath" in result["verify"]
 
 
-def test_workers_only_on_degrees():
-    parser = build_parser()
-    for argv in (
-        ["count", "x.pts"],
-        ["degrees", "x.pts"],
-        ["triangulations", "x.pts"],
-        ["charge-audit", "x.pts"],
-        ["verify", "x.pts"],
-        ["construction-report", "5"],
-    ):
-        with pytest.raises(SystemExit) as exc:
-            parser.parse_args([*argv, "--workers", "2"])
-        assert exc.value.code == 2, argv
+@pytest.mark.parametrize("flag", [["--workers", "2"], ["--force"]], ids=["workers", "force"])
+@pytest.mark.parametrize(
+    "argv",
+    [["count", "x.pts"], ["degrees", "x.pts"], ["triangulations", "x.pts"],
+     ["charge-audit", "x.pts"], ["verify", "x.pts"], ["construction-report", "5"]],
+    ids=lambda argv: argv[0],
+)
+def test_report_commands_refuse_workers_and_force(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([*argv, *flag])
+    assert exc.value.code == 2
 
 
 def test_format_not_on_verify(tri_file, tmp_path, capsys):

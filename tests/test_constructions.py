@@ -16,7 +16,7 @@ from planegraphs import (
     segments_cross,
     verify_product_law,
 )
-from planegraphs import geometry
+from planegraphs import SelfCheckError, constructions, geometry
 from planegraphs.constructions import ConstructionSpec, fn_ratio_table, v0_trend_table
 
 from conftest import gp_violations
@@ -78,6 +78,15 @@ class TestCapWithApex:
     def test_minimum_size(self):
         with pytest.raises(ValueError):
             gen_cap_with_apex(3)
+
+    def test_coordinate_cap(self):
+        with pytest.raises(ValueError, match="coordinate cap"):
+            gen_cap_with_apex(514)  # apex height 4 * 513^2 > 2^20
+
+    def test_failed_certificate_is_a_self_check_error(self, monkeypatch):
+        monkeypatch.setattr(constructions, "_apex_certified", lambda ps: False)
+        with pytest.raises(SelfCheckError, match=r"cap_with_apex\(5\)"):
+            gen_cap_with_apex(5)
 
 
 class TestTriangularHullRandom:
