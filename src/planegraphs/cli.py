@@ -17,6 +17,11 @@ the library functions take none.
 `--format` is on every report command but `verify`, which writes JSON
 alone; `count` always prints pg on stdout, and `--format` shapes its
 `--out` report.
+
+A run imports only what its command reaches: each command imports the
+modules it runs, so `validate` loads the geometry alone, and `count`,
+`degrees` and `triangulations` never load the verifiers, the charging audit
+or the constructions.
 """
 
 from __future__ import annotations
@@ -25,19 +30,16 @@ import argparse
 import sys
 from pathlib import Path
 
-from .constructions import ConstructionSpec, fn_ratio_table, v0_trend_table
-from .charging import charge_audit
-from .enumeration import (
-    SelfCheckError,
-    count_plane_graphs,
-    enumerate_triangulations,
-    expected_degree_vector,
-)
-from .geometry import GeneralPositionError, PointSet, load_pts, pts_count
-from .reports import dumps_csv, dumps_json, envelope
-from .verify import ALL_CLAIMS, run_claims, verify_product_law
+from .geometry import GeneralPositionError, PointSet, load_pts
 
 DEFAULT_MAX_N = 12
+
+# The claim names of `verify.ALL_CLAIMS`, in its order, for `verify --help`
+# without importing the verifiers; a test holds the two equal.
+CLAIM_NAMES = (
+    "v0_upper", "vi_upper", "previous_lower", "visibility", "triangulation_degrees",
+    "charge_cap", "zero_ving", "harmonic", "stirling", "central_binomial", "charge_argmax",
+)
 
 
 def _check_cap(args: argparse.Namespace, n: int) -> None:
@@ -46,9 +48,9 @@ def _check_cap(args: argparse.Namespace, n: int) -> None:
 
 
 def _load(args: argparse.Namespace) -> PointSet:
-    """The input point set, refused on its declared count if that exceeds the cap."""
-    _check_cap(args, pts_count(Path(args.pts).read_text()))
-    return load_pts(args.pts)
+    """The input point set, read once and refused on its declared count if
+    that exceeds the cap."""
+    return load_pts(args.pts, lambda n: _check_cap(args, n))
 
 
 def _add_common(parser: argparse.ArgumentParser, fmt: str | None) -> None:
@@ -81,9 +83,13 @@ def cmd_validate(args) -> int:
 
 
 def cmd_count(args) -> int:
+    from .enumeration import count_plane_graphs
+
     ps = _load(args)
     pg = count_plane_graphs(ps)
     if args.out is not None:  # written first: a failed write leaves stdout empty
+        from .reports import dumps_csv, dumps_json, envelope
+
         if args.fmt == "json":
             payload = envelope("count", ps) | {"n": ps.n, "pg": str(pg)}
             _emit(dumps_json(payload), args.out)
@@ -94,6 +100,9 @@ def cmd_count(args) -> int:
 
 
 def cmd_degrees(args) -> int:
+    from .enumeration import expected_degree_vector
+    from .reports import dumps_csv, dumps_json, envelope
+
     ps = _load(args)
     dv = expected_degree_vector(ps)
     if args.fmt == "json":
@@ -117,6 +126,9 @@ def cmd_degrees(args) -> int:
 
 
 def cmd_triangulations(args) -> int:
+    from .enumeration import enumerate_triangulations
+    from .reports import dumps_csv, dumps_json, envelope
+
     ps = _load(args)
     stats = enumerate_triangulations(ps)
     if args.fmt == "json":
@@ -143,6 +155,9 @@ def cmd_triangulations(args) -> int:
 
 
 def cmd_charge_audit(args) -> int:
+    from .charging import charge_audit
+    from .reports import dumps_csv, dumps_json, envelope
+
     ps = _load(args)
     audit = charge_audit(ps)
     if args.fmt == "json":
@@ -160,6 +175,9 @@ def cmd_charge_audit(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .reports import dumps_json, envelope
+    from .verify import run_claims
+
     ps = _load(args)
     claims = args.claims.split(",") if args.claims is not None else None
     reports = run_claims(ps, claims)
@@ -169,12 +187,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .constructions import ConstructionSpec
+
     spec = ConstructionSpec(kind=args.kind, n=args.n, seed=args.seed)
     _emit(spec.build().to_pts(), args.out)
     return 0
 
 
 def cmd_construction_report(args) -> int:
+    from .constructions import fn_ratio_table, v0_trend_table
+    from .reports import dumps_csv, dumps_json, envelope
+
     n_max = args.n_max
     if n_max < 3:
         raise ValueError(f"n_max must be at least 3, got {n_max}")
@@ -182,6 +205,8 @@ def cmd_construction_report(args) -> int:
     ratio_rows = fn_ratio_table(n_max)
     trend_rows = v0_trend_table(n_max)
     if args.fmt == "json":
+        from .verify import verify_product_law
+
         payload = envelope("construction-report", None) | {
             "fn_ratio": [
                 {**row, "exact": str(row["exact"])} for row in ratio_rows
@@ -242,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--claims",
                 default=None,
-                help="comma-separated subset of: " + ", ".join(ALL_CLAIMS),
+                help="comma-separated subset of: " + ", ".join(CLAIM_NAMES),
             )
 
     p = sub.add_parser("gen", help="generate a construction and write .pts")
@@ -268,14 +293,18 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:  # bad input, a refused cap, or a path that fails
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SelfCheckError as exc:  # a fault of the program, not a refuted claim
-        print(f"error: self-check failed: {exc}", file=sys.stderr)
-        return 3
     except (RecursionError, MemoryError) as exc:
         # Huge inputs under a raised --max-n can exhaust the memory, or the
         # recursion limit of the counting DP, the one code that recurses.
         print(f"error: input too large ({type(exc).__name__}: {exc})", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        from .enumeration import SelfCheckError  # loaded already by any code that raises it
+
+        if not isinstance(exc, SelfCheckError):
+            raise
+        print(f"error: self-check failed: {exc}", file=sys.stderr)  # a fault of the program
+        return 3
 
 
 if __name__ == "__main__":

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .enumeration import SelfCheckError, count_plane_graphs, expected_degree_vector
 from .geometry import (
@@ -26,8 +26,7 @@ from .geometry import (
 )
 
 
-@dataclass(frozen=True)
-class ConstructionSpec:
+class ConstructionSpec(NamedTuple):
     """A reproducible generator request."""
 
     kind: str  # convex_chain | cap_with_apex | triangular_hull_random

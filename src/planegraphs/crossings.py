@@ -16,16 +16,15 @@ on its own, which would take C(m,2) tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .geometry import PointSet
 
 SEGMENT_INDEXING = "lexicographic (i,j) pairs with i<j; bit k of edge masks = segment k"
 
 
-@dataclass(frozen=True, eq=False)
-class SegmentTable:
+class SegmentTable(NamedTuple):
     """All candidate segments of a point set, with their incidences."""
 
     n: int
@@ -41,8 +40,7 @@ class SegmentTable:
         return (1 << self.m) - 1
 
 
-@dataclass(frozen=True, eq=False)
-class CrossingSets:
+class CrossingSets(NamedTuple):
     """cross[k] = bit-vector of segments properly crossing segment k."""
 
     cross: tuple[int, ...]

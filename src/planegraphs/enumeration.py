@@ -52,11 +52,10 @@ refuses an input above its cap once, when it reads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .crossings import structures
 from .geometry import PointSet
@@ -71,8 +70,7 @@ class SelfCheckError(RuntimeError):
     refuted claim."""
 
 
-@dataclass(frozen=True)
-class DegreeExpectation:
+class DegreeExpectation(NamedTuple):
     """Exact degree statistics of the uniform random plane graph of a set."""
 
     pg: int                                    # |G(P)|
@@ -81,16 +79,14 @@ class DegreeExpectation:
     per_point: tuple[tuple[int, ...], ...]     # per_point[p][i] = #graphs with deg(p) = i
 
 
-@dataclass(frozen=True)
-class TriangulationRecord:
+class TriangulationRecord(NamedTuple):
     edges: int
     v3: int
     v4: int
     histogram: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class TriangulationStats:
+class TriangulationStats(NamedTuple):
     count: int
     records: tuple[TriangulationRecord, ...]
 

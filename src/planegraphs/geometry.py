@@ -20,11 +20,9 @@ independent oracles.
 
 from __future__ import annotations
 
-import hashlib
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 COORD_LIMIT = 1 << 20
 _DECIMAL = re.compile(r"[+-]?[0-9]+")  # a .pts number: optional sign, ASCII digits
@@ -46,21 +44,20 @@ class PtsFormatError(ValueError):
     """Raised for malformed ``.pts`` input."""
 
 
-@dataclass(frozen=True)
 class PointSet:
     """An immutable point set in general position: it validates itself on construction.
 
     ``ccw[i][j]`` is the bit-vector of the points k with (i, j, k)
     counter-clockwise, so ``ccw[j][i]`` is the clockwise side of i -> j and
     the two sides of every line partition the other points.  Points are
-    stored as tuples, so the set stays hashable.
+    stored as tuples, so the set stays hashable; equality and hash are those
+    of ``points``.
     """
 
-    points: tuple[tuple[int, int], ...]
-    ccw: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("points", "ccw")
 
-    def __post_init__(self):
-        points = tuple((x, y) for x, y in self.points)
+    def __init__(self, points: Iterable[tuple[int, int]]):
+        points = tuple((x, y) for x, y in points)
         for x, y in points:
             # type, not isinstance: a bool is an int, which .pts would write as "True"
             if type(x) is not int or type(y) is not int:
@@ -72,6 +69,24 @@ class PointSet:
             raise GeneralPositionError(violations)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "ccw", ccw)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PointSet is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"PointSet is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        return self.points == other.points if type(other) is PointSet else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.points)
+
+    def __repr__(self) -> str:
+        return f"PointSet(points={self.points!r})"
+
+    def __reduce__(self):
+        return PointSet, (self.points,)
 
     @property
     def n(self) -> int:
@@ -95,6 +110,8 @@ class PointSet:
 
     def sha256(self) -> str:
         """Hash of the canonical ``.pts`` serialization: identifies the input."""
+        import hashlib  # on first use: a run that writes no report never loads it
+
         return hashlib.sha256(self.to_pts().encode()).hexdigest()
 
 
@@ -219,8 +236,14 @@ def parse_pts(text: str) -> PointSet:
     return PointSet.from_coords(coords)
 
 
-def load_pts(path: str | Path) -> PointSet:
-    return parse_pts(Path(path).read_text())
+def load_pts(path: str | Path, check_count: Callable[[int], None] | None = None) -> PointSet:
+    """The point set of a ``.pts`` file, read once.  `check_count`, if given,
+    gets the declared point count before any coordinate is parsed, and
+    refuses the file by raising."""
+    text = Path(path).read_text()
+    if check_count is not None:
+        check_count(pts_count(text))
+    return parse_pts(text)
 
 
 def save_pts(ps: PointSet, path: str | Path) -> None:

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import planegraphs
-from planegraphs import cli, enumeration, gen_cap_with_apex, gen_convex_chain, geometry, save_pts
+from planegraphs import (
+    cli, enumeration, gen_cap_with_apex, gen_convex_chain, geometry, save_pts, verify,
+)
 from planegraphs.cli import build_parser, main
 
 from conftest import frames_below
@@ -346,8 +348,8 @@ class TestConstructionReport:
     def test_product_law_runs_only_for_json(self, capsys, monkeypatch):
         # The CSV report has no product_law table, so it checks no law.
         calls = []
-        real = cli.verify_product_law
-        monkeypatch.setattr(cli, "verify_product_law", lambda n: calls.append(n) or real(n))
+        real = verify.verify_product_law
+        monkeypatch.setattr(verify, "verify_product_law", lambda n: calls.append(n) or real(n))
         assert run_cli("construction-report", "6") == 0
         assert calls == []
         assert run_cli("construction-report", "6", "--format", "json") == 0
@@ -416,6 +418,91 @@ def test_light_commands_do_not_import_mpmath_or_pools(tmp_path):
     assert result["codes"] == [0] * 6
     assert result["light"] == []
     assert "mpmath" in result["verify"]
+
+
+def _importtime_modules(*argv: str) -> set[str]:
+    """Modules a fresh ``python -X importtime <argv>`` imports, read from its stderr."""
+    src = str(Path(planegraphs.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv],
+        capture_output=True,
+        text=True,
+        env=os.environ | {"PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {
+        line.rpartition("|")[2].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:") and "|" in line
+    }
+
+
+# What no command below may import, unless the bare interpreter already does.
+_NOT_IMPORTED = {"planegraphs.verify", "planegraphs.charging", "planegraphs.certified", "dataclasses"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate"], ["count"], ["degrees"], ["triangulations"],
+     ["gen", "convex_chain", "5"], ["verify", "--help"]],
+    ids=lambda argv: " ".join(argv),
+)
+def test_commands_import_only_what_they_run(argv, tmp_path):
+    pts = tmp_path / "ca5.pts"
+    save_pts(gen_cap_with_apex(5), pts)
+    if len(argv) == 1:
+        argv = [*argv, str(pts)]
+    bare = _importtime_modules("-c", "pass")
+    loaded = _importtime_modules("-m", "planegraphs.cli", *argv)
+    assert "planegraphs.geometry" in loaded  # the probe sees the package
+    assert (_NOT_IMPORTED - bare) & loaded == set()
+    assert ("planegraphs.constructions" in loaded) == (argv[0] == "gen")
+
+
+def test_package_names_resolve_on_first_use():
+    loaded = _importtime_modules("-c", "import planegraphs")
+    assert {m for m in loaded if m.startswith("planegraphs.")} == set()
+    for name in planegraphs.__all__:
+        value = getattr(planegraphs, name)
+        home = sys.modules[f"planegraphs.{planegraphs._HOME[name]}"]
+        assert value is getattr(home, name)
+    assert planegraphs.certified is sys.modules["planegraphs.certified"]
+    assert not hasattr(planegraphs, "no_such_name")
+
+
+def test_verify_still_imports_the_verifiers(tmp_path):
+    pts = tmp_path / "ca5.pts"
+    save_pts(gen_cap_with_apex(5), pts)
+    loaded = _importtime_modules("-m", "planegraphs.cli", "verify", str(pts), "--claims", "v0_upper")
+    assert "planegraphs.verify" in loaded
+
+
+def test_verify_help_names_every_claim(capsys):
+    # the parser spells the claims without importing the verifiers; its copy
+    # of the names must be verify.ALL_CLAIMS, in order
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["verify", "--help"])
+    assert exc.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    listed = help_text.partition("comma-separated subset of: ")[2]
+    assert [name.strip() for name in listed.split(",")] == verify.ALL_CLAIMS
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["count"], ["degrees"], ["triangulations"], ["charge-audit"],
+     ["verify", "--claims", "v0_upper"]],
+    ids=lambda argv: argv[0],
+)
+def test_input_is_read_once(argv, tri_file, capsys, monkeypatch):
+    # the cap is checked on the same text that the point set is parsed from
+    reads = []
+    real = Path.read_text
+    monkeypatch.setattr(Path, "read_text", lambda self, *a, **k: reads.append(self) or real(self, *a, **k))
+    command, *extra = argv
+    assert run_cli(command, tri_file, *extra) == 0
+    assert reads == [tri_file]
 
 
 @pytest.mark.parametrize("flag", [["--workers", "2"], ["--force"]], ids=["workers", "force"])

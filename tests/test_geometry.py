@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -138,6 +140,18 @@ class TestValidation:
         ps = PointSet([[0, 0], [4, 0], [0, 4]])
         assert ps.points == ((0, 0), (4, 0), (0, 4))
         assert ps == triangle and hash(ps) == hash(triangle)
+
+    def test_immutable_and_equal_by_points(self, triangle):
+        for attr in ("points", "ccw", "label"):
+            with pytest.raises(AttributeError):
+                setattr(triangle, attr, ())
+        with pytest.raises(AttributeError):
+            del triangle.points
+        assert triangle != triangle.points  # a point set is not its tuple
+        assert triangle != triangle.drop(0)
+        assert pickle.loads(pickle.dumps(triangle)) == triangle
+        assert copy.copy(triangle) == triangle
+        assert repr(triangle) == "PointSet(points=((0, 0), (4, 0), (0, 4)))"
 
 
 class TestConvexHull:

@@ -12,7 +12,6 @@ reserved for a violated claim.
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -66,7 +65,7 @@ def _tamper_degrees(monkeypatch, **fields):
 
     def tampered(ps):
         dv = real(ps)
-        return dataclasses.replace(dv, **{k: f(dv) for k, f in fields.items()})
+        return dv._replace(**{k: f(dv) for k, f in fields.items()})
 
     monkeypatch.setattr(charging_mod, "expected_degree_vector", tampered)
 
