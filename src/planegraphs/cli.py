@@ -290,13 +290,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    # Huge inputs under a raised --max-n can exhaust the memory, or the
+    # recursion limit of the counting DP, the one code that recurses.  These
+    # two handlers come first and allocate nothing, not even the tuple of an
+    # `except (A, B)`; the message is written after them, once the traceback,
+    # and the frames with a half-built report that it holds, are freed.
+    except RecursionError:
+        too_large = "error: input too large (RecursionError: recursion limit reached)\n"
+    except MemoryError:
+        too_large = "error: input too large (MemoryError: out of memory)\n"
     except (OSError, ValueError) as exc:  # bad input, a refused cap, or a path that fails
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (RecursionError, MemoryError) as exc:
-        # Huge inputs under a raised --max-n can exhaust the memory, or the
-        # recursion limit of the counting DP, the one code that recurses.
-        print(f"error: input too large ({type(exc).__name__}: {exc})", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         from .enumeration import SelfCheckError  # loaded already by any code that raises it
@@ -305,6 +309,8 @@ def main(argv: list[str] | None = None) -> int:
             raise
         print(f"error: self-check failed: {exc}", file=sys.stderr)  # a fault of the program
         return 3
+    sys.stderr.write(too_large)
+    return 2
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,8 @@ import pytest
 
 import planegraphs
 from planegraphs import (
-    cli, enumeration, gen_cap_with_apex, gen_convex_chain, geometry, save_pts, verify,
+    cli, enumeration, gen_cap_with_apex, gen_convex_chain, gen_triangular_hull_random, geometry,
+    save_pts, verify,
 )
 from planegraphs.cli import build_parser, main
 
@@ -25,6 +27,14 @@ def tri_file(tmp_path, triangle):
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def _child_env() -> dict[str, str]:
+    """The environment of a child interpreter that imports the same package
+    as this process, installed or not."""
+    src = str(Path(planegraphs.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return os.environ | {"PYTHONPATH": path}
 
 
 class TestValidate:
@@ -259,9 +269,10 @@ class TestEmptyPointSet:
 
 
 def test_recursion_limit_is_a_clean_error(tmp_path, capsys):
-    # On convex_chain(12) the counting kernel needs about 51 frames above
-    # its caller and the triangulation walk about 22, so a limit 28 frames
-    # above the test stops the first and not the second.
+    # On convex_chain(12) the counting kernel needs 30 frames above the test
+    # (about two per point on its sweep order) and the triangulation walk
+    # about 23, so a limit 28 frames above the test stops the first and not
+    # the second.
     pts = tmp_path / "chain12.pts"
     save_pts(gen_convex_chain(12), pts)
     enumeration._workspace.cache_clear()  # no memo from an earlier test
@@ -284,6 +295,26 @@ def test_recursion_limit_is_a_clean_error(tmp_path, capsys):
     # the walk keeps its own stack: it finishes under the same limit
     assert tri_status == 0
     assert json.loads(capsys.readouterr().out)["count"] == "16796"  # Catalan(10)
+
+
+@pytest.mark.parametrize("mib", [300, 1000])
+def test_out_of_memory_is_a_clean_error(mib, tmp_path):
+    # charge-audit on random 8 builds a multi-MB report; under an address-space
+    # limit on the child alone it runs out in the scan or in the JSON writer,
+    # a place that moves from run to run, and must still exit 2, not 1
+    pts = tmp_path / "random8.pts"
+    save_pts(gen_triangular_hull_random(8, seed=1), pts)
+    limit = mib << 20
+    proc = subprocess.run(
+        [sys.executable, "-m", "planegraphs.cli", "charge-audit", str(pts)],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert proc.stdout == ""
+    assert "error: input too large (MemoryError: out of memory)\n" in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["count", "degrees", "triangulations", "charge-audit", "verify"])
@@ -370,14 +401,11 @@ class TestConstructionReport:
 def test_console_script_entry_point(tmp_path):
     pts = tmp_path / "tri.pts"
     save_pts(gen_convex_chain(3), pts)
-    # the child imports the same package as this process, installed or not
-    src = str(Path(planegraphs.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "planegraphs.cli", "count", str(pts)],
         capture_output=True,
         text=True,
-        env=os.environ | {"PYTHONPATH": path},
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "8"
@@ -405,13 +433,11 @@ print(json.dumps({"codes": codes, "light": light, "verify": loaded()}),
 def test_light_commands_do_not_import_mpmath_or_pools(tmp_path):
     pts = tmp_path / "ca5.pts"
     save_pts(gen_cap_with_apex(5), pts)
-    src = str(Path(planegraphs.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, str(pts)],
         capture_output=True,
         text=True,
-        env=os.environ | {"PYTHONPATH": path},
+        env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stderr.splitlines()[-1])
@@ -422,13 +448,11 @@ def test_light_commands_do_not_import_mpmath_or_pools(tmp_path):
 
 def _importtime_modules(*argv: str) -> set[str]:
     """Modules a fresh ``python -X importtime <argv>`` imports, read from its stderr."""
-    src = str(Path(planegraphs.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", *argv],
         capture_output=True,
         text=True,
-        env=os.environ | {"PYTHONPATH": path},
+        env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     return {
@@ -438,8 +462,10 @@ def _importtime_modules(*argv: str) -> set[str]:
     }
 
 
-# What no command below may import, unless the bare interpreter already does.
+# What no command below may import, unless the bare interpreter already does;
+# `fractions` (with `decimal` and `numbers`) only where a Fraction is built.
 _NOT_IMPORTED = {"planegraphs.verify", "planegraphs.charging", "planegraphs.certified", "dataclasses"}
+_NO_FRACTION = {"validate", "count", "gen", "verify"}
 
 
 @pytest.mark.parametrize(
@@ -456,7 +482,8 @@ def test_commands_import_only_what_they_run(argv, tmp_path):
     bare = _importtime_modules("-c", "pass")
     loaded = _importtime_modules("-m", "planegraphs.cli", *argv)
     assert "planegraphs.geometry" in loaded  # the probe sees the package
-    assert (_NOT_IMPORTED - bare) & loaded == set()
+    forbidden = _NOT_IMPORTED | ({"fractions"} if argv[0] in _NO_FRACTION else set())
+    assert (forbidden - bare) & loaded == set()
     assert ("planegraphs.constructions" in loaded) == (argv[0] == "gen")
 
 

@@ -39,6 +39,16 @@ def collect(ps):
     return seen
 
 
+# Convex chains with points strictly inside their hull: 12 hull vertices of
+# 16 points (a hull majority) and 8 of 16 (exactly half).
+_CHAIN12 = [(3 * k, -3 * k * k) for k in range(1, 13)]
+_CHAIN12_INTERIOR = [(29, -412), (22, -386), (31, -302), (26, -381)]
+_CHAIN8 = [(3 * k, -3 * k * k) for k in range(1, 9)]
+_CHAIN8_INTERIOR = [
+    (12, -89), (14, -57), (14, -73), (10, -170), (8, -70), (15, -92), (8, -34), (9, -58),
+]
+
+
 class TestEnumerate:
     def test_triangle_has_eight_graphs(self, triangle):
         seen = collect(triangle)
@@ -140,8 +150,9 @@ class TestCount:
 
     def test_convex_memo_stays_small(self):
         # On a fixed segment order the leftover components of convex position
-        # repeat, so the memo hits: 7,104 entries on convex_chain(20), where a
-        # per-component pivot left 50,734.
+        # repeat, so the memo hits: 1,305 entries on convex_chain(20) on the
+        # sweep order, 7,104 by descending crossing count, and 50,734 with a
+        # pivot chosen afresh in each component.
         ps = gen_convex_chain(20)
         enumeration._workspace.cache_clear()
         count_plane_graphs(ps)
@@ -150,19 +161,36 @@ class TestCount:
     @pytest.mark.parametrize(
         "make, entries",
         [
-            (lambda: gen_convex_chain(20), 7_104),
-            (lambda: gen_convex_chain(21), 8_908),
+            (lambda: gen_convex_chain(20), 1_305),
+            (lambda: gen_convex_chain(21), 1_560),
             (lambda: gen_triangular_hull_random(16, seed=1), 1_803),
+            (lambda: coords(*_CHAIN12, *_CHAIN12_INTERIOR), 577),
+            (lambda: coords(*_CHAIN8, *_CHAIN8_INTERIOR), 2_407),
         ],
-        ids=["convex20", "convex21", "random16"],
+        ids=["convex20", "convex21", "random16", "hull12of16", "hull8of16"],
     )
     def test_memo_size_pinned(self, make, entries):
         # The component split decides nothing but speed: the recursion, and
-        # with it every memo key, stays the same.
+        # with it every memo key, stays the same.  A set with more than half
+        # of its points on the hull counts on the sweep order (convex20 and
+        # convex21; hull12of16 with 4 interior points, 1,619 by crossing
+        # count); random16 (a triangle hull) and hull8of16 (exactly half)
+        # keep the descending-crossing order.
         ps = make()
         enumeration._workspace.cache_clear()
         count_plane_graphs(ps)
         assert len(enumeration.workspace(ps).memo) == entries
+
+    def test_hull_fixtures_have_the_hulls_they_claim(self):
+        hulls = [convex_hull(coords(*_CHAIN12, *_CHAIN12_INTERIOR)),
+                 convex_hull(coords(*_CHAIN8, *_CHAIN8_INTERIOR))]
+        assert [len(hull) for hull in hulls] == [12, 8]
+
+    def test_convex_chain_past_the_old_recursion_limit(self):
+        # Descending crossing count recursed about n^2 / 2 deep on convex
+        # position and raised RecursionError here; the sweep order recurses
+        # about 2n deep.
+        assert count_plane_graphs(gen_convex_chain(47)) == convex_count_recurrence(47)[47]
 
     def test_cap_apex_product(self):
         assert count_plane_graphs(gen_cap_with_apex(5)) == 16 * count_plane_graphs(
@@ -211,6 +239,13 @@ class TestDegreeVector:
     def test_rows_match_bruteforce(self, small_sets):
         for ps in small_sets:
             assert expected_degree_vector(ps).per_point == brute_degree_rows(ps)
+
+    def test_rows_match_bruteforce_on_the_sweep_order(self):
+        # 5 hull vertices and 2 interior points: the kernel sweeps around
+        # the hull, and the degree pass reads the same ranks
+        ps = coords((0, 0), (10, -1), (14, 8), (6, 14), (-3, 7), (5, 4), (7, 8))
+        assert len(convex_hull(ps)) == 5
+        assert expected_degree_vector(ps).per_point == brute_degree_rows(ps)
 
     def test_rows_on_tiny_sets(self, triangle):
         # the triangle has pg = 2^m, the largest a count can be
