@@ -188,14 +188,18 @@ def charge_audit(ps: PointSet) -> dict:
     per_graph: list[dict] = []
     total_num = 0
     charges: dict[int, tuple[int, str, int]] = {}  # blocked -> (scaled, num, exp)
-    for edges, blocked in ws.independent_sets(ws.full):
-        charge = charges.get(blocked)
-        if charge is None:
-            scaled = _scaled_charge(inc, blocked, top)
-            num, exp = _dyadic_pair(scaled, top)
-            charge = charges[blocked] = (scaled, str(num), exp)
-        total_num += charge[0]
-        per_graph.append({"graph": f"{edges:x}", "num": charge[1], "exp": charge[2]})
+    walk = ws.independent_sets(ws.full)
+    try:  # a walk stopped by an error closes here, not after the CLI's handler
+        for edges, blocked in walk:
+            charge = charges.get(blocked)
+            if charge is None:
+                scaled = _scaled_charge(inc, blocked, top)
+                num, exp = _dyadic_pair(scaled, top)
+                charge = charges[blocked] = (scaled, str(num), exp)
+            total_num += charge[0]
+            per_graph.append({"graph": f"{edges:x}", "num": charge[1], "exp": charge[2]})
+    finally:
+        walk.close()
     if len(per_graph) != dv.pg:
         raise SelfCheckError("the scan and the counting DP disagree on pg")
     if total_num != zero_vings << top:

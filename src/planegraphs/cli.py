@@ -181,7 +181,7 @@ def cmd_verify(args) -> int:
     ps = _load(args)
     claims = args.claims.split(",") if args.claims is not None else None
     reports = run_claims(ps, claims)
-    payload = envelope("verify", ps) | {"reports": [vars(r) for r in reports]}
+    payload = envelope("verify", ps) | {"reports": [r._asdict() for r in reports]}
     _emit(dumps_json(payload), args.out)
     return 1 if any(r.status == "violated" for r in reports) else 0
 

@@ -34,24 +34,27 @@ conflict bit-vectors of :mod:`planegraphs.crossings`:
   the order.  A fixed order makes the leftover components of different
   branches the same masks, so the memo hits.  The order depends on the
   input.  When more than half of the points are hull vertices, the segments
-  go by a sweep around one hull vertex, in the order of their earlier
-  endpoint.  The segments at one point (a star) never cross, and a chord
+  go by a sweep around one hull vertex: by the sweep position of the
+  earlier endpoint, then of the later one, farthest first, from geometry
+  alone.  The segments at one point (a star) never cross, and a chord
   between hull vertices separates, so the branches through a star leave
   the polygon minus one vertex, a leftover that recurs.  convex_chain(20)
-  ends with 1,305 entries, where descending crossing count leaves 7,104 and
-  a pivot chosen afresh in each component 50,734, and the recursion runs
+  ends with 969 entries, where descending crossing count leaves 7,104 and a
+  pivot chosen afresh in each component 50,734, and the recursion runs
   about 2n deep instead of about n^2 / 2.  Every other set, a triangular
   hull included, keeps descending crossing count: on
-  triangular_hull_random(16, seed=1) the sweep would leave 6,540 entries,
-  not 1,803.  Counting runs serially.  Degree statistics come from one more
-  pass of the same recursion, memoized by component for that call alone.
-  For a component C it keeps, for each point p, p's degree polynomial over
-  C, sum_d c_d x^d with c_d the independent sets of C that hold d segments
-  at p.  A point that touches no segment of C takes the plain count of C;
-  components multiply point by point; a lone segment contributes (1 + x) at
-  its endpoints and 2 elsewhere; and the branch on a segment (a, b) adds x
-  times its "with" branch at a and b.  Each polynomial is packed into one
-  integer at x = 2^(m+1), whose digits are p's degree row.
+  triangular_hull_random(16, seed=1) the sweep would leave 7,705 entries,
+  not 1,803.  Counting runs serially.  Degree statistics and their pg come
+  from one pass of the same recursion, memoized by component for that call
+  alone, which fills no count memo.  For a component C it keeps, for each
+  point p, p's degree polynomial over C, sum_d c_d x^d with c_d the
+  independent sets of C that hold d segments at p.  A point that touches no
+  segment of C takes the plain count of C, and one such extra point carries
+  pg out of the pass; components multiply point by point; a lone segment
+  contributes (1 + x) at its endpoints and 2 elsewhere; and the branch on a
+  segment (a, b) adds x times its "with" branch at a and b.  Each
+  polynomial is packed into one integer at x = 2^(m+1), whose digits are
+  p's degree row.
 
 All aggregates are exact big integers / rationals, so results are
 bit-identical across runs.  Nothing here caps the point count: the CLI
@@ -107,13 +110,13 @@ class _Workspace:
 
     def __init__(self, ps: PointSet):
         self.ps = ps
-        self.table, self.crossings = structures(ps)
-        self.cross = self.crossings.cross
+        self.table, crossings = structures(ps)
+        self.cross = crossings.cross
         self.m = self.table.m
         self.full = self.table.full_mask
         self.digit_bits = self.m + 1
         # The counting kernel's segment order: rank[k] is segment k's place
-        # (see count_independent), and rcross is cross in rank space.
+        # (see _count), and rcross is cross in rank space.
         order = sorted(range(self.m), key=self._order_key())
         self.rank = [0] * self.m
         for r, k in enumerate(order):
@@ -124,39 +127,23 @@ class _Workspace:
         self.triangulations: TriangulationStats | None = None
 
     def _order_key(self) -> Callable[[int], object]:
-        """The sort key of the kernel's segment order (see
-        :meth:`count_independent`): descending crossing count, unless more
-        than half of the points are hull vertices; then first the sweep
-        position of the segment's earlier endpoint around the hull vertex
-        v.  A point a != v sits at the number of points left of a -> v,
-        distinct for every a since all lie in the hull angle at v; v comes
-        first."""
+        """The sort key of the kernel's segment order (see :meth:`_count`):
+        descending crossing count, unless more than half of the points are
+        hull vertices.  Then a segment goes by the sweep positions of its
+        endpoints around the hull vertex v, the earlier one first, then the
+        later one, farthest first.  A point a != v sits at the number of
+        points left of a -> v, distinct for every a since all lie in the
+        hull angle at v; v comes first."""
         ps, cross = self.ps, self.cross
         hull = convex_hull(ps) if ps.n >= 3 else ()
         if 2 * len(hull) <= ps.n:
             return lambda k: -cross[k].bit_count()
         v = hull[0]
         sweep = [-1 if a == v else ps.ccw[a][v].bit_count() for a in range(ps.n)]
-        segments = self.table.segments
-        return lambda k: (min(sweep[a] for a in segments[k]), -cross[k].bit_count())
+        spans = [sorted(sweep[a] for a in segment) for segment in self.table.segments]
+        return lambda k: (spans[k][0], -spans[k][1])
 
     # -- memoized independent-set counting on a fixed segment order ---------
-
-    def count_independent(self) -> int:
-        """Number of plane graphs.
-
-        The count runs in rank space: bit ``rank[k]`` stands for segment k,
-        with the segments sorted by :meth:`_order_key`, ties by index.  On a
-        set with more than half of its points on the hull, the lowest bit of
-        a mask is its segment whose earlier endpoint comes first in a sweep
-        around a hull vertex, the one with the most crossings among those;
-        elsewhere it is the segment with the most crossings.
-        :meth:`_count` splits the segments into connected components and
-        branches on the lowest bit of each; the components go to the shared
-        ``self.memo``, 1,305 of them on convex_chain(20) (7,104 by crossing
-        count alone).
-        """
-        return self._count(self.full)
 
     def _ranked(self, mask: int) -> int:
         """`mask`, a set of segment indices, in rank space."""
@@ -188,10 +175,20 @@ class _Workspace:
             avail = left
 
     def _count(self, avail: int) -> int:
-        """The count of :meth:`count_independent` over the rank-space mask
-        `avail`.  Its components, from :meth:`_components`, multiply.  A lone
-        segment is a factor 2; any other component branches on its lowest
-        bit, without it and with it (its crossings removed)."""
+        """Number of independent sets of the rank-space mask `avail`: the
+        plane graphs when `avail` is ``self.full``.
+
+        Bit ``rank[k]`` stands for segment k, with the segments sorted by
+        :meth:`_order_key`, ties by index.  On a set with more than half of
+        its points on the hull, the lowest bit of a mask is its segment whose
+        earlier endpoint comes first in a sweep around a hull vertex, the
+        one with the farthest later endpoint among those; elsewhere it is
+        the segment with the most crossings.  The components of `avail`,
+        from :meth:`_components`, multiply.  A lone segment is a factor 2;
+        any other component branches on its lowest bit, without it and with
+        it (its crossings removed), and goes to the shared ``self.memo``:
+        969 of them on convex_chain(20).
+        """
         rcross = self.rcross
         memo = self.memo
         result = 1
@@ -212,8 +209,10 @@ class _Workspace:
     # -- every point's degree polynomial from one memoized pass --------------
 
     def degree_polynomials(self) -> list[int]:
-        """Entry p is point p's packed degree polynomial sum_d c_d x^d, where
-        c_d counts the plane graphs in which p has degree d.
+        """Entry p, for each of the n points, is point p's packed degree
+        polynomial sum_d c_d x^d, where c_d counts the plane graphs in which
+        p has degree d.  Entry n stands for a point that no segment touches:
+        its polynomial is the plain count, pg.
 
         The polynomial is evaluated at x = 2^B with B = ``self.digit_bits`` =
         m + 1.  Every coefficient counts edge sets, so it is at most 2^m < 2^B,
@@ -260,7 +259,7 @@ class _Workspace:
                 memo[comp] = polys
             result = polys if result is None else list(map(mul, result, polys))
         if result is None:
-            result = [1] * self.table.n
+            result = [1] * (self.table.n + 1)
         if lone:
             result = [u << len(lone) for u in result]
             x1 = (1 << self.digit_bits) + 1
@@ -303,13 +302,7 @@ class _Workspace:
         return blocked
 
 
-@lru_cache(maxsize=64)
-def _workspace(ps: PointSet) -> _Workspace:
-    return _Workspace(ps)
-
-
-def workspace(ps: PointSet) -> _Workspace:
-    return _workspace(ps)
+workspace = _workspace = lru_cache(maxsize=64)(_Workspace)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +334,8 @@ def enumerate_plane_graphs(
 
 def count_plane_graphs(ps: PointSet) -> int:
     """pg(P) = number of plane graphs of P, exactly."""
-    return workspace(ps).count_independent()
+    ws = workspace(ps)
+    return ws._count(ws.full)
 
 
 def expected_degree_vector(
@@ -351,13 +345,13 @@ def expected_degree_vector(
 ) -> DegreeExpectation:
     """Exact v-hat vector: expected number of degree-i vertices for each i.
 
-    Every point's degree row is read off the digits of its packed polynomial
-    from one serial pass, :meth:`_Workspace.degree_polynomials`.  `workers`
-    must be at least 1 and starts nothing: the rows come from that pass for
-    any value.  `max_n`, if given, refuses a set of more points with
-    :class:`EnumerationLimitError`.  Both stay only because
-    ``perfbench/tracer.py`` passes them.  The result is kept on the point
-    set's workspace, so a second call returns it without a count.
+    One serial pass, :meth:`_Workspace.degree_polynomials`, yields every
+    point's packed polynomial, whose digits are the point's degree row, and
+    pg as its last entry.  `workers` must be at least 1 and starts nothing:
+    the rows come from that pass for any value.  `max_n`, if given, refuses
+    a set of more points with :class:`EnumerationLimitError`.  Both stay
+    only because ``perfbench/tracer.py`` passes them.  The result is kept on
+    the point set's workspace, so a second call returns it without a pass.
     """
     if workers < 1:
         raise ValueError("worker count must be >= 1")
@@ -369,9 +363,8 @@ def expected_degree_vector(
     n = ps.n
     bits = ws.digit_bits
     digit = (1 << bits) - 1
-    polys = ws.degree_polynomials()
+    *polys, pg = ws.degree_polynomials()
     rows = [tuple(poly >> (d * bits) & digit for d in range(n)) for poly in polys]
-    pg = ws.count_independent()
     for row in rows:
         if sum(row) != pg:
             raise SelfCheckError("per-point degree counts must partition the census")

@@ -28,8 +28,8 @@ domain where the comparison is performed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .certified import (
     GAMMA,
@@ -57,18 +57,13 @@ VIOLATED = "violated"
 NOT_APPLICABLE = "not-applicable"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     claim: str
     pointset: str
     status: str
-    margin: Fraction | None = None
-    witness: dict | None = None
-    details: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.status == VIOLATED and self.witness is None:
-            raise SelfCheckError(f"violated claim {self.claim} carries no witness")
+    margin: Fraction | None
+    witness: dict | None
+    details: dict
 
 
 def _descriptor(ps: PointSet) -> str:
@@ -82,11 +77,13 @@ def _verdict(
 ) -> VerificationReport:
     """The one place a comparison becomes a report: `ok` None means the claim
     does not apply (no margin, no witness); otherwise the witness is kept
-    only on a violation."""
+    only on a violation, where it must be given."""
     if ok is None:
         status, margin, witness = NOT_APPLICABLE, None, None
-    else:
+    elif ok or witness is not None:
         status, witness = (HOLDS, None) if ok else (VIOLATED, witness)
+    else:
+        raise SelfCheckError(f"violated claim {claim} carries no witness")
     return VerificationReport(claim, pointset, status, margin, witness, details or {})
 
 

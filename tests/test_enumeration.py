@@ -150,7 +150,7 @@ class TestCount:
 
     def test_convex_memo_stays_small(self):
         # On a fixed segment order the leftover components of convex position
-        # repeat, so the memo hits: 1,305 entries on convex_chain(20) on the
+        # repeat, so the memo hits: 969 entries on convex_chain(20) on the
         # sweep order, 7,104 by descending crossing count, and 50,734 with a
         # pivot chosen afresh in each component.
         ps = gen_convex_chain(20)
@@ -161,21 +161,22 @@ class TestCount:
     @pytest.mark.parametrize(
         "make, entries",
         [
-            (lambda: gen_convex_chain(20), 1_305),
-            (lambda: gen_convex_chain(21), 1_560),
+            (lambda: gen_convex_chain(20), 969),
+            (lambda: gen_convex_chain(21), 1_140),
+            (lambda: gen_convex_chain(30), 3_654),
             (lambda: gen_triangular_hull_random(16, seed=1), 1_803),
-            (lambda: coords(*_CHAIN12, *_CHAIN12_INTERIOR), 577),
+            (lambda: coords(*_CHAIN12, *_CHAIN12_INTERIOR), 483),
             (lambda: coords(*_CHAIN8, *_CHAIN8_INTERIOR), 2_407),
         ],
-        ids=["convex20", "convex21", "random16", "hull12of16", "hull8of16"],
+        ids=["convex20", "convex21", "convex30", "random16", "hull12of16", "hull8of16"],
     )
     def test_memo_size_pinned(self, make, entries):
         # The component split decides nothing but speed: the recursion, and
         # with it every memo key, stays the same.  A set with more than half
-        # of its points on the hull counts on the sweep order (convex20 and
-        # convex21; hull12of16 with 4 interior points, 1,619 by crossing
-        # count); random16 (a triangle hull) and hull8of16 (exactly half)
-        # keep the descending-crossing order.
+        # of its points on the hull counts on the sweep order (convex20,
+        # convex21 and convex30; hull12of16 with 4 interior points, 1,619 by
+        # crossing count); random16 (a triangle hull) and hull8of16 (exactly
+        # half) keep the descending-crossing order.
         ps = make()
         enumeration._workspace.cache_clear()
         count_plane_graphs(ps)
@@ -265,6 +266,19 @@ class TestDegreeVector:
         pooled = expected_degree_vector(ps, workers=2)
         enumeration._workspace.cache_clear()  # count again, not from the cache
         assert pooled == expected_degree_vector(ps)
+
+    def test_degree_pass_makes_no_count(self, monkeypatch):
+        # pg comes out of the degree pass itself: no plain count runs
+        ps = gen_cap_with_apex(6)
+        calls = []
+        count = enumeration._Workspace._count
+        monkeypatch.setattr(
+            enumeration._Workspace, "_count", lambda ws, avail: calls.append(avail) or count(ws, avail)
+        )
+        enumeration._workspace.cache_clear()
+        assert expected_degree_vector(ps).pg == count_plane_graphs_bruteforce(ps)
+        assert calls == []
+        assert enumeration.workspace(ps).memo == {}
 
     def test_a_flipped_digit_breaks_the_partition(self, monkeypatch):
         # one packed row off by one in one digit no longer sums to pg

@@ -23,7 +23,7 @@ from planegraphs.verify import (
     HOLDS,
     NOT_APPLICABLE,
     VIOLATED,
-    VerificationReport,
+    _verdict,
     central_binomial_sweep,
     harmonic_gap_sweep,
     harmonic_residual_sweep,
@@ -216,8 +216,8 @@ class TestAnalytic:
 
 def test_violated_report_requires_witness():
     with pytest.raises(SelfCheckError, match="violated claim c carries no witness"):
-        VerificationReport(claim="c", pointset="-", status=VIOLATED)
-    VerificationReport(claim="c", pointset="-", status=VIOLATED, witness={"i": 1})
+        _verdict("c", "-", False)
+    assert _verdict("c", "-", False, witness={"i": 1}).status == VIOLATED
 
 
 class TestRunClaims:
