@@ -3,9 +3,9 @@
 Subcommands: validate, count, degrees, triangulations, charge-audit, verify,
 gen, construction-report.  Exit status 0 on success, 1 when an applicable
 verified claim is violated, 2 on usage or validation errors, on paths that
-cannot be read or written, and on inputs too large to finish (recursion
-depth or memory exhausted), 3 when an internal self-check fails (a fault
-of the program, named on stderr).  Reports are byte-identical across runs.
+cannot be read or written, and on inputs too large to finish (memory
+exhausted), 3 when an internal self-check fails (a fault of the program,
+named on stderr).  Reports are byte-identical across runs.
 
 The point-count cap is a property of the input, and this module alone
 knows it: `--max-n`, ``DEFAULT_MAX_N`` unless given.  It is checked once, on
@@ -290,13 +290,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # Huge inputs under a raised --max-n can exhaust the memory, or the
-    # recursion limit of the counting DP, the one code that recurses.  These
-    # two handlers come first and allocate nothing, not even the tuple of an
-    # `except (A, B)`; the message is written after them, once the traceback,
-    # and the frames with a half-built report that it holds, are freed.
-    except RecursionError:
-        too_large = "error: input too large (RecursionError: recursion limit reached)\n"
+    # Huge inputs under a raised --max-n can exhaust the memory.  This
+    # handler comes first and allocates nothing; the message is written
+    # after it, once the traceback, and the frames with a half-built report
+    # that it holds, are freed.
     except MemoryError:
         too_large = "error: input too large (MemoryError: out of memory)\n"
     except (OSError, ValueError) as exc:  # bad input, a refused cap, or a path that fails

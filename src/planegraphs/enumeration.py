@@ -26,35 +26,37 @@ conflict bit-vectors of :mod:`planegraphs.crossings`:
   The search tree is at most m deep, but the walk never recurses.
 
 * ``count_plane_graphs`` / ``expected_degree_vector`` never materialize
-  graphs.  They use a memoized counting routine on one fixed segment order.
-  One splitter, ``_Workspace._components``, cuts each call's segments into
-  the connected components of the conflict graph, and stops once every
-  segment is reached.  Components multiply; a lone segment is a factor 2,
-  any other is memoized by its mask and branches on its first segment in
-  the order.  A fixed order makes the leftover components of different
-  branches the same masks, so the memo hits.  The order depends on the
+  graphs.  They fold over one walk of the component graph on one fixed
+  segment order.  One splitter, ``_Workspace._split``, cuts a mask into the
+  connected components of the conflict graph, and stops once every segment
+  is reached.  Components multiply; a lone segment is a factor 2, and any
+  other branches on its first segment in the order, without it and with it.
+  ``_Workspace._walk`` visits each component that the branches reach once,
+  children first, on an explicit stack, so nothing here recurses.  A fixed
+  order makes the leftover components of different branches the same
+  masks, so the branches share them.  The order depends on the
   input.  When more than half of the points are hull vertices, the segments
   go by a sweep around one hull vertex: by the sweep position of the
   earlier endpoint, then of the later one, farthest first, from geometry
   alone.  The segments at one point (a star) never cross, and a chord
   between hull vertices separates, so the branches through a star leave
   the polygon minus one vertex, a leftover that recurs.  convex_chain(20)
-  ends with 969 entries, where descending crossing count leaves 7,104 and a
-  pivot chosen afresh in each component 50,734, and the recursion runs
-  about 2n deep instead of about n^2 / 2.  Every other set, a triangular
-  hull included, keeps descending crossing count: on
-  triangular_hull_random(16, seed=1) the sweep would leave 7,705 entries,
-  not 1,803.  Counting runs serially.  Degree statistics and their pg come
-  from one pass of the same recursion, memoized by component for that call
-  alone, which fills no count memo.  For a component C it keeps, for each
-  point p, p's degree polynomial over C, sum_d c_d x^d with c_d the
-  independent sets of C that hold d segments at p.  A point that touches no
-  segment of C takes the plain count of C, and one such extra point carries
-  pg out of the pass; components multiply point by point; a lone segment
-  contributes (1 + x) at its endpoints and 2 elsewhere; and the branch on a
-  segment (a, b) adds x times its "with" branch at a and b.  Each
-  polynomial is packed into one integer at x = 2^(m+1), whose digits are
-  p's degree row.
+  ends with 969 components, where descending crossing count leaves 7,104
+  and a pivot chosen afresh in each component 50,734.  Every other set, a
+  triangular hull included, keeps descending crossing count: on
+  triangular_hull_random(16, seed=1) the sweep would leave 7,705
+  components, not 1,803.  Counting runs serially and keeps each
+  component's count in the workspace's memo.  Degree statistics and their
+  pg come from a second fold over the same walk, which fills no count
+  memo.  For a component C it keeps, for each point p, p's degree
+  polynomial over C, sum_d c_d x^d with c_d the independent sets of C that
+  hold d segments at p, until the last branch that uses C.  A point that
+  touches no segment of C takes the plain count of C, and one such extra
+  point carries pg out of the pass; components multiply point by point; a
+  lone segment contributes (1 + x) at its endpoints and 2 elsewhere; and
+  the branch on a segment (a, b) adds x times its "with" branch at a and
+  b.  Each polynomial is packed into one integer at x = 2^(m+1), whose
+  digits are p's degree row.
 
 All aggregates are exact big integers / rationals, so results are
 bit-identical across runs.  Nothing here caps the point count: the CLI
@@ -64,14 +66,17 @@ refuses an input above its cap once, when it reads it.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import prod
 from operator import add, mul
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Container, Iterator, NamedTuple
 
 from .crossings import structures
 from .geometry import PointSet, convex_hull
 
 if TYPE_CHECKING:
     from fractions import Fraction
+
+_Split = tuple[list[int], int]  # a mask's components of two or more segments, and its lone ones
 
 
 class EnumerationLimitError(RuntimeError):
@@ -122,6 +127,7 @@ class _Workspace:
         for r, k in enumerate(order):
             self.rank[k] = r
         self.rcross = [self._ranked(self.cross[k]) for k in order]
+        self.root = self._split(self.full)
         self.memo: dict[int, int] = {}
         self.degrees: DegreeExpectation | None = None
         self.triangulations: TriangulationStats | None = None
@@ -155,12 +161,15 @@ class _Workspace:
             mask ^= lsb
         return out
 
-    def _components(self, avail: int) -> Iterator[tuple[int, int]]:
-        """Yield `(comp, bit)` for each connected component of the crossing
-        graph on the rank-space mask `avail`, by ascending lowest bit `bit`.
-        The search grows into `left`, the part of `avail` not reached yet, one
-        frontier segment at a time, and stops as soon as `left` is empty."""
+    def _split(self, avail: int) -> _Split:
+        """`(comps, lone)`: the connected components of the crossing graph on
+        the rank-space mask `avail` that hold two or more segments, by
+        ascending lowest bit, and the mask of its lone segments.  The search
+        grows into `left`, the part of `avail` not reached yet, one frontier
+        segment at a time, and stops as soon as `left` is empty."""
         rcross = self.rcross
+        comps = []
+        lone = 0
         while avail:
             bit = avail & -avail
             left, frontier = avail ^ bit, bit
@@ -171,42 +180,64 @@ class _Workspace:
                 if grow:
                     left ^= grow
                     frontier |= grow
-            yield avail ^ left, bit
+            if avail ^ left == bit:
+                lone |= bit
+            else:
+                comps.append(avail ^ left)
             avail = left
+        return comps, lone
 
-    def _count(self, avail: int) -> int:
-        """Number of independent sets of the rank-space mask `avail`: the
-        plane graphs when `avail` is ``self.full``.
+    def _walk(self, done: Container[int]) -> Iterator[tuple[int, _Split, _Split]]:
+        """Yield `(comp, without, with_it)` once for each component reachable
+        from ``self.root`` that is not in `done`, children first; the caller
+        adds each one it receives to `done`.  The branch on a component's
+        lowest bit leaves `without`, the split of comp minus that bit, and
+        `with_it`, the split of that minus the bit's crossings.
+
+        An explicit stack holds the components still to split and, below
+        their children, the split ones, as tuples, so the walk never recurses.
+        A component pushed twice is split once: whichever copy is popped
+        first is split and yielded before the other one is popped, and is in
+        `done` by then.
+        """
+        rcross, split = self.rcross, self._split
+        stack: list = list(self.root[0])
+        while stack:
+            comp = stack.pop()
+            if type(comp) is tuple:
+                yield comp
+            elif comp not in done:
+                bit = comp & -comp
+                rest = comp ^ bit
+                without = split(rest)
+                with_it = split(rest & ~rcross[bit.bit_length() - 1])
+                stack.append((comp, without, with_it))
+                stack += without[0] + with_it[0]
+
+    def _count(self) -> int:
+        """Number of independent sets of ``self.full``: the plane graphs.
 
         Bit ``rank[k]`` stands for segment k, with the segments sorted by
         :meth:`_order_key`, ties by index.  On a set with more than half of
         its points on the hull, the lowest bit of a mask is its segment whose
         earlier endpoint comes first in a sweep around a hull vertex, the
         one with the farthest later endpoint among those; elsewhere it is
-        the segment with the most crossings.  The components of `avail`,
-        from :meth:`_components`, multiply.  A lone segment is a factor 2;
-        any other component branches on its lowest bit, without it and with
-        it (its crossings removed), and goes to the shared ``self.memo``:
-        969 of them on convex_chain(20).
+        the segment with the most crossings.  The components of a split
+        multiply, and a lone segment is a factor 2.  Each component of
+        :meth:`_walk` counts its branches on its lowest bit, without it and
+        with it, into the shared ``self.memo``: 969 of them on
+        convex_chain(20).
         """
-        rcross = self.rcross
         memo = self.memo
-        result = 1
-        single = 0
-        for comp, bit in self._components(avail):
-            if comp == bit:
-                single += 1
-                continue
-            count = memo.get(comp)
-            if count is None:
-                rest = comp ^ bit
-                with_it = self._count(rest & ~rcross[bit.bit_length() - 1])
-                count = self._count(rest) + with_it
-                memo[comp] = count
-            result *= count
-        return result << single
 
-    # -- every point's degree polynomial from one memoized pass --------------
+        def product(split: _Split) -> int:
+            return prod(map(memo.__getitem__, split[0]), start=1 << split[1].bit_count())
+
+        for comp, without, with_it in self._walk(memo):
+            memo[comp] = product(without) + product(with_it)
+        return product(self.root)
+
+    # -- every point's degree polynomial from one pass -----------------------
 
     def degree_polynomials(self) -> list[int]:
         """Entry p, for each of the n points, is point p's packed degree
@@ -219,54 +250,55 @@ class _Workspace:
         and each c_d is the B-bit digit d of the result.  A digit that carried
         would break ``sum(row) == pg`` in :func:`expected_degree_vector`.
 
-        :meth:`_polynomials` walks the recursion of :meth:`_count` once for all
-        points, with a memo of this call alone, so ``self.memo`` keeps plain
-        counts only.
+        The components of :meth:`_walk` are collected first, with the number
+        of splits that hold each, so ``self.memo`` keeps plain counts only,
+        and a component's polynomials are dropped at their last use.
+        Components multiply entry by entry; a point that touches no segment
+        of a component takes its plain count.  The branch on the lowest bit
+        e = (a, b) adds its "with" branch to its "without" branch, shifted by
+        one digit at a and b.  A lone segment contributes (1 + x) at its two
+        endpoints and 2 everywhere else.
         """
         ends = [(0, 0)] * self.m
         for k, r in enumerate(self.rank):
             ends[r] = self.table.segments[k]
-        return self._polynomials(self.full, ends, {})
+        uses: dict[int, int] = {}
+        nodes = []
+        for node in self._walk(uses):
+            uses[node[0]] = 0
+            nodes.append(node)
+        for comps, _ in [self.root] + [split for _, *splits in nodes for split in splits]:
+            for comp in comps:
+                uses[comp] += 1
+        bits = self.digit_bits
+        x1 = (1 << bits) + 1
+        polys: dict[int, list[int]] = {}
 
-    def _polynomials(
-        self, avail: int, ends: list[tuple[int, int]], memo: dict[int, list[int]]
-    ) -> list[int]:
-        """:meth:`degree_polynomials` over the rank-space mask `avail`, whose
-        bit r is the segment with endpoints ``ends[r]``.
+        def product(split: _Split) -> list[int]:
+            comps, lone = split
+            result = None
+            for comp in comps:
+                uses[comp] -= 1
+                factor = polys[comp] if uses[comp] else polys.pop(comp)
+                result = factor if result is None else list(map(mul, result, factor))
+            if result is None:
+                result = [1] * (self.table.n + 1)
+            if lone:
+                result = [u << lone.bit_count() for u in result]
+                while lone:
+                    bit = lone & -lone
+                    lone ^= bit
+                    for p in ends[bit.bit_length() - 1]:
+                        result[p] = (result[p] >> 1) * x1
+            return result
 
-        Components, from :meth:`_components`, multiply entry by entry; a point
-        that touches no segment of a component takes its plain count.  The
-        branch on the lowest bit e = (a, b) adds its "with" branch to its
-        "without" branch, shifted by one digit at a and b.  A lone segment
-        contributes (1 + x) at its two endpoints and 2 everywhere else.
-        """
-        rcross = self.rcross
-        result = None
-        lone = []
-        for comp, bit in self._components(avail):
-            r = bit.bit_length() - 1
-            if comp == bit:
-                lone.append(r)
-                continue
-            polys = memo.get(comp)
-            if polys is None:
-                rest = comp ^ bit
-                without = self._polynomials(rest, ends, memo)
-                with_it = self._polynomials(rest & ~rcross[r], ends, memo)
-                polys = list(map(add, without, with_it))
-                for p in ends[r]:
-                    polys[p] = without[p] + (with_it[p] << self.digit_bits)
-                memo[comp] = polys
-            result = polys if result is None else list(map(mul, result, polys))
-        if result is None:
-            result = [1] * (self.table.n + 1)
-        if lone:
-            result = [u << len(lone) for u in result]
-            x1 = (1 << self.digit_bits) + 1
-            for r in lone:
-                for p in ends[r]:
-                    result[p] = (result[p] >> 1) * x1
-        return result
+        for comp, without, with_it in nodes:
+            out, into = product(without), product(with_it)
+            poly = list(map(add, out, into))
+            for p in ends[(comp & -comp).bit_length() - 1]:
+                poly[p] = out[p] + (into[p] << bits)
+            polys[comp] = poly
+        return product(self.root)
 
     # -- streaming enumeration over a restricted universe --------------------
 
@@ -334,8 +366,7 @@ def enumerate_plane_graphs(
 
 def count_plane_graphs(ps: PointSet) -> int:
     """pg(P) = number of plane graphs of P, exactly."""
-    ws = workspace(ps)
-    return ws._count(ws.full)
+    return workspace(ps)._count()
 
 
 def expected_degree_vector(

@@ -15,7 +15,7 @@ from planegraphs import (
 )
 from planegraphs.cli import build_parser, main
 
-from conftest import frames_below
+from conftest import convex_count_recurrence, frames_below
 
 
 @pytest.fixture
@@ -268,11 +268,10 @@ class TestEmptyPointSet:
         assert payload["family_census"] == []
 
 
-def test_recursion_limit_is_a_clean_error(tmp_path, capsys):
-    # On convex_chain(12) the counting kernel needs 29 frames above the test
-    # (about two per point on its sweep order) and the triangulation walk
-    # about 23, so a limit 28 frames above the test stops the first and not
-    # the second.
+def test_count_and_triangulations_run_under_a_low_recursion_limit(tmp_path, capsys):
+    # Neither the counting kernel nor the triangulation walk recurses: both
+    # keep their own stacks, so on convex_chain(12) both finish under a
+    # limit 28 frames above the test.  The recursive kernel needed 29.
     pts = tmp_path / "chain12.pts"
     save_pts(gen_convex_chain(12), pts)
     enumeration._workspace.cache_clear()  # no memo from an earlier test
@@ -286,35 +285,51 @@ def test_recursion_limit_is_a_clean_error(tmp_path, capsys):
         tri_status = run_cli("triangulations", pts)
     finally:
         sys.setrecursionlimit(limit)
-    assert count_status == 2
-    assert count_io.out == ""
-    assert "Traceback" not in count_io.err
-    errors = [line for line in count_io.err.splitlines() if line.startswith("error:")]
-    assert len(errors) == 1
-    assert errors[0].startswith("error: input too large (RecursionError: ")
-    # the walk keeps its own stack: it finishes under the same limit
+    assert count_status == 0
+    assert count_io.out == f"{convex_count_recurrence(12)[12]}\n"
     assert tri_status == 0
     assert json.loads(capsys.readouterr().out)["count"] == "16796"  # Catalan(10)
 
 
-@pytest.mark.parametrize("mib, runs", [(300, 3), (1000, 1)], ids=["300", "1000"])
-def test_out_of_memory_is_a_clean_error(mib, runs, tmp_path):
+@pytest.mark.parametrize(
+    "command, make, mib, runs, finishes",
+    [
+        ("charge-audit", lambda: gen_triangular_hull_random(8, seed=1), 300, 3, False),
+        ("charge-audit", lambda: gen_triangular_hull_random(8, seed=1), 1000, 1, False),
+        ("degrees", lambda: gen_triangular_hull_random(20, seed=1), 30, 1, False),
+        ("degrees", lambda: gen_triangular_hull_random(20, seed=1), 50, 1, True),
+        ("count", lambda: gen_triangular_hull_random(22, seed=1), 22, 1, False),
+    ],
+    ids=["300", "1000", "degrees-random20-30", "degrees-random20-50", "count-random22-22"],
+)
+def test_out_of_memory_is_a_clean_error(command, make, mib, runs, finishes, tmp_path):
     # charge-audit on random 8 builds a multi-MB report; under an address-space
     # limit on the child alone it runs out in the scan or in the JSON writer,
     # a place that moves from run to run, and must still exit 2, not 1, with
     # one stderr line: the suspended walk is closed before the handler, not
-    # finalized after it while the memory is still short
-    pts = tmp_path / "random8.pts"
-    save_pts(gen_triangular_hull_random(8, seed=1), pts)
+    # finalized after it while the memory is still short.  The counting
+    # kernel and the degree pass keep their own stacks, so they too run out
+    # in a MemoryError, not in a frame allocation that fails without one.
+    # The degree pass frees each component's polynomials at their last
+    # use, so random 20 finishes in 50 MiB.
+    pts = tmp_path / "input.pts"
+    save_pts(make(), pts)
+    argv = [sys.executable, "-m", "planegraphs.cli", command, str(pts), "--max-n", "99"]
     limit = mib << 20
     for _ in range(runs):
         proc = subprocess.run(
-            [sys.executable, "-m", "planegraphs.cli", "charge-audit", str(pts)],
+            argv,
             capture_output=True,
             text=True,
             env=_child_env(),
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
         )
+        if finishes:
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            assert proc.stdout == subprocess.run(
+                argv, capture_output=True, text=True, env=_child_env(), check=True
+            ).stdout
+            continue
         assert proc.returncode == 2, proc.stderr[-2000:]
         assert proc.stdout == ""
         assert proc.stderr == "error: input too large (MemoryError: out of memory)\n"

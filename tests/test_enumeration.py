@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -171,7 +172,7 @@ class TestCount:
         ids=["convex20", "convex21", "convex30", "random16", "hull12of16", "hull8of16"],
     )
     def test_memo_size_pinned(self, make, entries):
-        # The component split decides nothing but speed: the recursion, and
+        # The component split decides nothing but speed: the branching, and
         # with it every memo key, stays the same.  A set with more than half
         # of its points on the hull counts on the sweep order (convex20,
         # convex21 and convex30; hull12of16 with 4 interior points, 1,619 by
@@ -188,10 +189,31 @@ class TestCount:
         assert [len(hull) for hull in hulls] == [12, 8]
 
     def test_convex_chain_past_the_old_recursion_limit(self):
-        # Descending crossing count recursed about n^2 / 2 deep on convex
-        # position and raised RecursionError here; the sweep order recurses
-        # about 2n deep.
+        # Descending crossing count, when the kernel still recursed, went
+        # about n^2 / 2 deep on convex position and raised RecursionError
+        # here.  The walk keeps its own stack, so chains are bounded by
+        # time alone.
         assert count_plane_graphs(gen_convex_chain(47)) == convex_count_recurrence(47)[47]
+
+    @pytest.mark.parametrize(
+        "make", [lambda: gen_convex_chain(30), lambda: gen_triangular_hull_random(14, seed=1)],
+        ids=["convex30", "random14"],
+    )
+    def test_kernel_does_not_recurse(self, make):
+        # Under pytest the recursive kernel needed more than 59 frames above
+        # the test on convex30, and 42 (count) and 52 (degrees) on random14;
+        # the walk keeps its own stack and needs 11, whatever the input.
+        ps = make()
+        enumeration._workspace.cache_clear()
+        enumeration.workspace(ps)
+        limit = sys.getrecursionlimit()
+        try:
+            sys.setrecursionlimit(frames_below() + 14)
+            pg = count_plane_graphs(ps)
+            dv = expected_degree_vector(ps)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert dv.pg == pg
 
     def test_cap_apex_product(self):
         assert count_plane_graphs(gen_cap_with_apex(5)) == 16 * count_plane_graphs(
@@ -273,12 +295,26 @@ class TestDegreeVector:
         calls = []
         count = enumeration._Workspace._count
         monkeypatch.setattr(
-            enumeration._Workspace, "_count", lambda ws, avail: calls.append(avail) or count(ws, avail)
+            enumeration._Workspace, "_count", lambda ws: calls.append(ws) or count(ws)
         )
         enumeration._workspace.cache_clear()
         assert expected_degree_vector(ps).pg == count_plane_graphs_bruteforce(ps)
         assert calls == []
         assert enumeration.workspace(ps).memo == {}
+
+    def test_degree_pass_frees_each_component_after_its_last_use(self):
+        # random 16: 3.3 MiB at the peak when every component's polynomials
+        # were kept to the end, 1.4 MiB when each is dropped at its last use
+        ps = gen_triangular_hull_random(16, seed=1)
+        enumeration._workspace.cache_clear()
+        enumeration.workspace(ps)
+        tracemalloc.start()
+        try:
+            expected_degree_vector(ps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
 
     def test_a_flipped_digit_breaks_the_partition(self, monkeypatch):
         # one packed row off by one in one digit no longer sums to pg
@@ -310,12 +346,15 @@ def sets_and_masks(draw):
 @settings(max_examples=80, deadline=None)
 def test_components_match_a_plain_bfs(case):
     ws, avail = case
-    parts = list(ws._components(avail))
-    union = 0
-    for comp, bit in parts:
+    comps, lone = ws._split(avail)
+    # lone: exactly the segments of avail that cross nothing in avail
+    assert lone == sum(1 << r for r in range(ws.m) if avail >> r & 1 and not ws.rcross[r] & avail)
+    union = lone
+    for comp in comps:
         assert comp & union == 0  # disjoint
         union |= comp
-        assert bit == comp & -comp
+        bit = comp & -comp
+        assert comp != bit
         # connected: a BFS over the crossings from `bit` reaches all of comp
         members = {r for r in range(ws.m) if comp >> r & 1}
         start = bit.bit_length() - 1
@@ -331,7 +370,7 @@ def test_components_match_a_plain_bfs(case):
         for r in members:
             assert ws.rcross[r] & avail & ~comp == 0
     assert union == avail
-    bits = [bit for _, bit in parts]
+    bits = [comp & -comp for comp in comps]
     assert bits == sorted(bits)
 
 
