@@ -27,9 +27,8 @@ _EXPORTS = {
         "enumerate_triangulations", "expected_degree_vector", "is_triangulation",
     ),
     "charging": (
-        "charge_audit", "family_census", "family_charge_profile", "family_members",
-        "family_root", "graph_charge_v0", "lp_charge_cap", "max_family_charge", "potential",
-        "visibility",
+        "charge_audit", "family_census", "family_charge_profile", "graph_charge_v0",
+        "lp_charge_cap", "max_family_charge", "visibility",
     ),
     "constructions": (
         "ConstructionSpec", "flajolet_noy_approx", "gen_cap_with_apex", "gen_convex_chain",

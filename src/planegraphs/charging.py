@@ -1,4 +1,4 @@
-"""Cross-graph charging machinery: visibility, potential, families, charges.
+"""Cross-graph charging machinery: visibility, charges and family censuses.
 
 The charging argument moves charge between vings (point-in-graph instances)
 of *different* plane graphs of the same point set.  The unit of structure is
@@ -22,39 +22,6 @@ def visibility(ps: PointSet, edges: int, p: int) -> int:
     """Number of q != p with segment pq not in the graph `edges` and crossing none of them."""
     ws = workspace(ps)
     return (ws.table.incident_masks[p] & ~edges & ~ws.blocked(edges)).bit_count()
-
-
-def potential(ps: PointSet, edges: int, p: int) -> int:
-    """deg(p) plus the visibility of p in the graph `edges`: the family's visibility.
-
-    The edges of a plane graph cross none of its edges, so this counts the
-    segments at p outside blocked(edges).
-    """
-    ws = workspace(ps)
-    return (ws.table.incident_masks[p] & ~ws.blocked(edges)).bit_count()
-
-
-def family_root(ps: PointSet, edges: int, p: int) -> int:
-    """`edges` minus the edges at p: the 0-ving graph of the family of (p, edges)."""
-    return edges & ~workspace(ps).table.incident_masks[p]
-
-
-def family_members(ps: PointSet, root: int, p: int) -> list[int]:
-    """All 2^j graphs reachable by connecting p to visible vertices of `root`."""
-    ws = workspace(ps)
-    if root & ws.table.incident_masks[p]:
-        raise ValueError(f"point {p} is not isolated in the given root graph")
-    visible = ws.table.incident_masks[p] & ~ws.blocked(root)
-    members = []
-    add = 0
-    while True:  # submasks of `visible` in increasing order
-        edges = root | add
-        if ws.blocked(add) & edges:
-            raise SelfCheckError("family member has a crossing pair")
-        members.append(edges)
-        add = (add - visible) & visible
-        if not add:
-            return members
 
 
 def family_charge_profile(i: int, j: int) -> Fraction:

@@ -4,7 +4,9 @@ The n(n-1)/2 unordered point pairs are indexed lexicographically by
 (i, j) with i < j; this indexing is fixed forever because every serialized
 graph encoding depends on it.  All per-segment sets (crossings, incidences)
 are bit-vectors over segment indices, stored as Python ints with bit k =
-segment k.
+segment k.  :func:`build_crossing_sets` reads whatever segment sequence it
+is given: bit l of a row stands for ``segments[l]``, in any order, so the
+counting kernel gets its rows in its own segment order from the same pass.
 
 The crossing table is read off the point set's orientation masks
 (``PointSet.ccw``, each of the C(n,3) triple determinants computed once when
@@ -17,7 +19,7 @@ on its own, which would take C(m,2) tests.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .geometry import PointSet
 
@@ -60,13 +62,15 @@ def build_segment_table(ps: PointSet) -> SegmentTable:
     return SegmentTable(n=n, segments=segments, incident_masks=tuple(incident))
 
 
-def build_crossing_sets(ps: PointSet, table: SegmentTable) -> CrossingSets:
+def build_crossing_sets(ps: PointSet, segments: Sequence[tuple[int, int]]) -> CrossingSets:
+    """Row l holds bit l' iff ``segments[l']`` crosses ``segments[l]``; the
+    segments are distinct point pairs of `ps`, in any order."""
     ccw = ps.ccw
-    bit = [[0] * ps.n for _ in range(ps.n)]   # bit[p][q] = 1 << index of segment {p, q}
-    for k, (i, j) in enumerate(table.segments):
+    bit = [[0] * ps.n for _ in range(ps.n)]   # bit[p][q] = 1 << place of segment {p, q}
+    for k, (i, j) in enumerate(segments):
         bit[i][j] = bit[j][i] = 1 << k
     cross = []
-    for i, j in table.segments:
+    for i, j in segments:
         ccw_i, ccw_j = ccw[i], ccw[j]
         left, right = ccw_i[j], ccw_j[i]
         row = 0
@@ -88,4 +92,4 @@ def build_crossing_sets(ps: PointSet, table: SegmentTable) -> CrossingSets:
 def structures(ps: PointSet) -> tuple[SegmentTable, CrossingSets]:
     """Cached (table, crossings) pair for a validated point set."""
     table = build_segment_table(ps)
-    return table, build_crossing_sets(ps, table)
+    return table, build_crossing_sets(ps, table.segments)

@@ -34,8 +34,10 @@ conflict bit-vectors of :mod:`planegraphs.crossings`:
   ``_Workspace._walk`` visits each component that the branches reach once,
   children first, on an explicit stack, so nothing here recurses.  A fixed
   order makes the leftover components of different branches the same
-  masks, so the branches share them.  The order depends on the
-  input.  When more than half of the points are hull vertices, the segments
+  masks, so the branches share them.  The walk's masks are over the
+  segments in that order, and their crossing rows come from one crossing
+  pass over the reordered segments.  The order depends on the input.
+  When more than half of the points are hull vertices, the segments
   go by a sweep around one hull vertex: by the sweep position of the
   earlier endpoint, then of the later one, farthest first, from geometry
   alone.  The segments at one point (a star) never cross, and a chord
@@ -70,7 +72,7 @@ from math import prod
 from operator import add, mul
 from typing import TYPE_CHECKING, Callable, Container, Iterator, NamedTuple
 
-from .crossings import structures
+from .crossings import build_crossing_sets, structures
 from .geometry import PointSet, convex_hull
 
 if TYPE_CHECKING:
@@ -110,8 +112,9 @@ class TriangulationStats(NamedTuple):
 
 
 class _Workspace:
-    """Per-point-set enumeration state: conflict masks, the count memo, and
-    the degree vector and the triangulations, once computed."""
+    """Per-point-set enumeration state: conflict masks by segment index and
+    in the counting kernel's order, the count memo, and the degree vector
+    and the triangulations, once computed."""
 
     def __init__(self, ps: PointSet):
         self.ps = ps
@@ -120,13 +123,11 @@ class _Workspace:
         self.m = self.table.m
         self.full = self.table.full_mask
         self.digit_bits = self.m + 1
-        # The counting kernel's segment order: rank[k] is segment k's place
-        # (see _count), and rcross is cross in rank space.
+        # The counting kernel's segment order (see _count): ends[r] is the
+        # segment at place r, and rcross[r] its crossings, bit s for ends[s].
         order = sorted(range(self.m), key=self._order_key())
-        self.rank = [0] * self.m
-        for r, k in enumerate(order):
-            self.rank[k] = r
-        self.rcross = [self._ranked(self.cross[k]) for k in order]
+        self.ends = tuple(self.table.segments[k] for k in order)
+        self.rcross = build_crossing_sets(ps, self.ends).cross
         self.root = self._split(self.full)
         self.memo: dict[int, int] = {}
         self.degrees: DegreeExpectation | None = None
@@ -151,22 +152,12 @@ class _Workspace:
 
     # -- memoized independent-set counting on a fixed segment order ---------
 
-    def _ranked(self, mask: int) -> int:
-        """`mask`, a set of segment indices, in rank space."""
-        rank = self.rank
-        out = 0
-        while mask:
-            lsb = mask & -mask
-            out |= 1 << rank[lsb.bit_length() - 1]
-            mask ^= lsb
-        return out
-
     def _split(self, avail: int) -> _Split:
         """`(comps, lone)`: the connected components of the crossing graph on
-        the rank-space mask `avail` that hold two or more segments, by
-        ascending lowest bit, and the mask of its lone segments.  The search
-        grows into `left`, the part of `avail` not reached yet, one frontier
-        segment at a time, and stops as soon as `left` is empty."""
+        `avail`, a mask over ``self.ends``, that hold two or more segments,
+        by ascending lowest bit, and the mask of its lone segments.  The
+        search grows into `left`, the part of `avail` not reached yet, one
+        frontier segment at a time, and stops as soon as `left` is empty."""
         rcross = self.rcross
         comps = []
         lone = 0
@@ -217,7 +208,7 @@ class _Workspace:
     def _count(self) -> int:
         """Number of independent sets of ``self.full``: the plane graphs.
 
-        Bit ``rank[k]`` stands for segment k, with the segments sorted by
+        Bit r stands for segment ``ends[r]``, with the segments sorted by
         :meth:`_order_key`, ties by index.  On a set with more than half of
         its points on the hull, the lowest bit of a mask is its segment whose
         earlier endpoint comes first in a sweep around a hull vertex, the
@@ -233,8 +224,12 @@ class _Workspace:
         def product(split: _Split) -> int:
             return prod(map(memo.__getitem__, split[0]), start=1 << split[1].bit_count())
 
-        for comp, without, with_it in self._walk(memo):
-            memo[comp] = product(without) + product(with_it)
+        try:
+            for comp, without, with_it in self._walk(memo):
+                memo[comp] = product(without) + product(with_it)
+        except MemoryError:
+            memo.clear()  # else the cached workspace keeps the memory that ran out
+            raise
         return product(self.root)
 
     # -- every point's degree polynomial from one pass -----------------------
@@ -259,9 +254,7 @@ class _Workspace:
         one digit at a and b.  A lone segment contributes (1 + x) at its two
         endpoints and 2 everywhere else.
         """
-        ends = [(0, 0)] * self.m
-        for k, r in enumerate(self.rank):
-            ends[r] = self.table.segments[k]
+        ends = self.ends
         uses: dict[int, int] = {}
         nodes = []
         for node in self._walk(uses):

@@ -206,23 +206,19 @@ def is_triangular_hull(ps: PointSet) -> bool:
     return ps.n >= 3 and len(convex_hull(ps)) == 3
 
 
-def pts_count(text: str) -> int:
-    """The point count that ``.pts`` text declares on its first line, read
-    without touching the coordinates, so a caller can refuse a large input
-    before any geometry runs."""
-    first = next((ln.strip() for ln in text.splitlines() if ln.strip()), None)
-    if first is None:
-        raise PtsFormatError("empty .pts input")
-    if not _DECIMAL.fullmatch(first):
-        raise PtsFormatError(f"first line must be a point count, got {first!r}")
-    return int(first)
-
-
-def parse_pts(text: str) -> PointSet:
+def parse_pts(text: str, check_count: Callable[[int], None] | None = None) -> PointSet:
     """Parse the ``.pts`` format: first line n, then n lines ``x y``, every
-    number in ASCII decimal."""
-    n = pts_count(text)
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    number in ASCII decimal.  `check_count`, if given, gets n as soon as
+    the first line is read, before the coordinate lines are counted or
+    parsed, and refuses the text by raising."""
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
+    if not lines:
+        raise PtsFormatError("empty .pts input")
+    if not _DECIMAL.fullmatch(lines[0]):
+        raise PtsFormatError(f"first line must be a point count, got {lines[0]!r}")
+    n = int(lines[0])
+    if check_count is not None:
+        check_count(n)
     if n < 0 or len(lines) != n + 1:
         raise PtsFormatError(f"expected {n} coordinate lines, got {len(lines) - 1}")
     coords = []
@@ -237,13 +233,10 @@ def parse_pts(text: str) -> PointSet:
 
 
 def load_pts(path: str | Path, check_count: Callable[[int], None] | None = None) -> PointSet:
-    """The point set of a ``.pts`` file, read once.  `check_count`, if given,
-    gets the declared point count before any coordinate is parsed, and
-    refuses the file by raising."""
-    text = Path(path).read_text()
-    if check_count is not None:
-        check_count(pts_count(text))
-    return parse_pts(text)
+    """The point set of a ``.pts`` file, read and parsed once (see
+    :func:`parse_pts`, which passes the declared point count to
+    `check_count` before any coordinate is parsed)."""
+    return parse_pts(Path(path).read_text(), check_count)
 
 
 def save_pts(ps: PointSet, path: str | Path) -> None:

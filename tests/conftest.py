@@ -4,7 +4,9 @@ The oracles here deliberately avoid the production code paths: rational
 line-intersection for crossing tests, an interval-decomposition convolution
 recurrence for convex-position counts, hull-of-four for convex quadruples,
 a scan of all 2^m edge subsets for plane-graph counts, and plain visitor
-enumeration for degree histograms.
+enumeration for degree histograms.  The charging argument's per-graph
+helpers (a point's potential and its family) also live here: they read the
+workspace's blocked masks, and no command needs them.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from planegraphs import (
     EnumerationLimitError,
     GeneralPositionError,
     PointSet,
+    SelfCheckError,
     enumerate_plane_graphs,
     gen_cap_with_apex,
     gen_convex_chain,
@@ -33,11 +36,25 @@ BRUTEFORCE_SEGMENT_LIMIT = 22
 
 
 def frames_below() -> int:
-    """Python frames on the stack below the caller, the caller included."""
-    frame, depth = sys._getframe(1), 0
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-    return depth
+    """The caller's recursion depth as CPython's recursion limit counts it,
+    so ``sys.setrecursionlimit(frames_below() + k)`` leaves the caller about
+    k frames.  Under pytest on CPython 3.11 this is 7 more than the Python
+    frames on the stack, since C-level calls on pytest's call path count
+    too.  It is found by bisection: here, one frame above the caller,
+    ``sys.setrecursionlimit`` accepts a limit exactly when it exceeds the
+    depth here."""
+    limit = sys.getrecursionlimit()
+    low, high = 1, limit
+    while low < high:
+        mid = (low + high) // 2
+        try:
+            sys.setrecursionlimit(mid)
+        except RecursionError:
+            low = mid + 1
+        else:
+            high = mid
+            sys.setrecursionlimit(limit)
+    return low - 2
 
 
 def coords(*pairs) -> PointSet:
@@ -97,6 +114,39 @@ def convex_count_recurrence(m_max: int) -> list[int]:
             total += n[t] * n[size - t + 1]
         n[size] = total
     return n
+
+
+def potential(ps: PointSet, edges: int, p: int) -> int:
+    """deg(p) plus the visibility of p in the graph `edges`: the family's visibility.
+
+    The edges of a plane graph cross none of its edges, so this counts the
+    segments at p outside blocked(edges).
+    """
+    ws = workspace(ps)
+    return (ws.table.incident_masks[p] & ~ws.blocked(edges)).bit_count()
+
+
+def family_root(ps: PointSet, edges: int, p: int) -> int:
+    """`edges` minus the edges at p: the 0-ving graph of the family of (p, edges)."""
+    return edges & ~workspace(ps).table.incident_masks[p]
+
+
+def family_members(ps: PointSet, root: int, p: int) -> list[int]:
+    """All 2^j graphs reachable by connecting p to visible vertices of `root`."""
+    ws = workspace(ps)
+    if root & ws.table.incident_masks[p]:
+        raise ValueError(f"point {p} is not isolated in the given root graph")
+    visible = ws.table.incident_masks[p] & ~ws.blocked(root)
+    members = []
+    add = 0
+    while True:  # submasks of `visible` in increasing order
+        edges = root | add
+        if ws.blocked(add) & edges:
+            raise SelfCheckError("family member has a crossing pair")
+        members.append(edges)
+        add = (add - visible) & visible
+        if not add:
+            return members
 
 
 def catalan(k: int) -> int:

@@ -21,7 +21,6 @@ from planegraphs import (
     enumerate_triangulations,
     expected_degree_vector,
     family_census,
-    family_members,
     flajolet_noy_approx,
     gen_cap_with_apex,
     gen_convex_chain,
@@ -49,7 +48,7 @@ from planegraphs.verify import (
     ving_charge_argmax_sweep,
 )
 
-from conftest import catalan, count_plane_graphs_bruteforce
+from conftest import catalan, count_plane_graphs_bruteforce, family_members
 
 
 @contextmanager

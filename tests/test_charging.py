@@ -11,21 +11,20 @@ from planegraphs import (
     expected_degree_vector,
     family_census,
     family_charge_profile,
-    family_members,
-    family_root,
     gen_cap_with_apex,
     gen_convex_chain,
     gen_triangular_hull_random,
     graph_charge_v0,
     lp_charge_cap,
     max_family_charge,
-    potential,
     visibility,
 )
 from planegraphs import charging
 from planegraphs.certified import PI_HI
 from planegraphs.crossings import structures
 from planegraphs.enumeration import workspace
+
+from conftest import family_members, family_root, potential
 
 
 class TestVisibilityAndPotential:

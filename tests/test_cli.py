@@ -271,7 +271,7 @@ class TestEmptyPointSet:
 def test_count_and_triangulations_run_under_a_low_recursion_limit(tmp_path, capsys):
     # Neither the counting kernel nor the triangulation walk recurses: both
     # keep their own stacks, so on convex_chain(12) both finish under a
-    # limit 28 frames above the test.  The recursive kernel needed 29.
+    # limit 21 frames above the test.  The recursive kernel needed 22.
     pts = tmp_path / "chain12.pts"
     save_pts(gen_convex_chain(12), pts)
     enumeration._workspace.cache_clear()  # no memo from an earlier test
@@ -279,7 +279,7 @@ def test_count_and_triangulations_run_under_a_low_recursion_limit(tmp_path, caps
         build_parser().parse_args([command, str(pts)])  # compile argparse's regexes
     limit = sys.getrecursionlimit()
     try:
-        sys.setrecursionlimit(frames_below() + 28)
+        sys.setrecursionlimit(frames_below() + 21)
         count_status = run_cli("count", pts)
         count_io = capsys.readouterr()
         tri_status = run_cli("triangulations", pts)
@@ -337,16 +337,21 @@ def test_out_of_memory_is_a_clean_error(command, make, mib, runs, finishes, tmp_
 
 @pytest.mark.parametrize("command", ["count", "degrees", "triangulations", "charge-audit", "verify"])
 def test_cap_is_checked_on_the_count_line(command, tmp_path, capsys, monkeypatch):
-    # the declared count is refused before the O(n^3) general-position pass
+    # the declared count is refused before the O(n^3) general-position pass,
+    # and before the coordinate lines are counted: a file that declares 13
+    # points and holds 3 gets the cap error, not the line-count one
     pts = tmp_path / "chain13.pts"
     save_pts(gen_convex_chain(13), pts)
+    short = tmp_path / "short13.pts"
+    short.write_text("13\n0 0\n4 0\n0 4\n")
     calls = []
     real = geometry._orientations
     monkeypatch.setattr(geometry, "_orientations", lambda p: calls.append(len(p)) or real(p))
-    assert run_cli(command, pts) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: n=13 exceeds the cap of 12 (use --max-n to raise it)\n"
+    for path in (pts, short):
+        assert run_cli(command, path) == 2, path
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n=13 exceeds the cap of 12 (use --max-n to raise it)\n"
     assert calls == []
 
 

@@ -33,7 +33,7 @@ def test_triangle_table(triangle):
     assert table.m == 3
     assert table.segments == ((0, 1), (0, 2), (1, 2))
     assert hull_edge_mask(triangle, table) == 0b111
-    cross = build_crossing_sets(triangle, table)
+    cross = build_crossing_sets(triangle, table.segments)
     assert all(c == 0 for c in cross.cross)  # three edges, no two intersect
 
 
@@ -102,7 +102,7 @@ def test_crossing_pairs_equal_convex_quadruples():
 def assert_crossings_match_oracle(ps):
     """Every row of the built table equals the rational oracle on the coordinates."""
     table = build_segment_table(ps)
-    cross = build_crossing_sets(ps, table).cross
+    cross = build_crossing_sets(ps, table.segments).cross
     assert len(cross) == table.m == comb(ps.n, 2)
     xy = ps.coords()
     for k, (i, j) in enumerate(table.segments):
@@ -152,7 +152,7 @@ def test_crossings_match_oracle_count_convex_inputs(make):
 def test_tiny_sets_cross_nothing(n):
     ps = PointSet.from_coords([(0, 0), (1, 0), (0, 1)][:n])
     table = build_segment_table(ps)
-    cross = build_crossing_sets(ps, table).cross
+    cross = build_crossing_sets(ps, table.segments).cross
     assert table.m == len(cross) == comb(n, 2)
     assert all(c == 0 for c in cross)
 

@@ -112,11 +112,11 @@ class TestIndependentSets:
 
     def test_walk_does_not_recurse(self):
         # cap_with_apex(6) has 15 segments: a walk with one frame per
-        # segment would pass a limit 10 frames above the test.
+        # segment would pass a limit 3 frames above the test.
         ws = enumeration.workspace(gen_cap_with_apex(6))
         limit = sys.getrecursionlimit()
         try:
-            sys.setrecursionlimit(frames_below() + 10)
+            sys.setrecursionlimit(frames_below() + 3)
             graphs = sum(1 for _ in ws.independent_sets(ws.full))
         finally:
             sys.setrecursionlimit(limit)
@@ -200,15 +200,15 @@ class TestCount:
         ids=["convex30", "random14"],
     )
     def test_kernel_does_not_recurse(self, make):
-        # Under pytest the recursive kernel needed more than 59 frames above
-        # the test on convex30, and 42 (count) and 52 (degrees) on random14;
-        # the walk keeps its own stack and needs 11, whatever the input.
+        # The recursive kernel needed more than 52 frames above the test on
+        # convex30, and 35 (count) and 45 (degrees) on random14; the walk
+        # keeps its own stack and needs 4, whatever the input.
         ps = make()
         enumeration._workspace.cache_clear()
         enumeration.workspace(ps)
         limit = sys.getrecursionlimit()
         try:
-            sys.setrecursionlimit(frames_below() + 14)
+            sys.setrecursionlimit(frames_below() + 7)
             pg = count_plane_graphs(ps)
             dv = expected_degree_vector(ps)
         finally:
@@ -374,6 +374,30 @@ def test_components_match_a_plain_bfs(case):
     assert bits == sorted(bits)
 
 
+def assert_rcross_is_cross_in_kernel_order(ws):
+    """``ws.ends`` is the segment table reordered, and bit s of
+    ``ws.rcross[r]`` is set exactly when the index-space row of ``ends[r]``
+    holds the bit of ``ends[s]``."""
+    index = {segment: k for k, segment in enumerate(ws.table.segments)}
+    assert sorted(ws.ends) == list(ws.table.segments)
+    for r, row in enumerate(ws.rcross):
+        cross = ws.cross[index[ws.ends[r]]]
+        for s, segment in enumerate(ws.ends):
+            assert row >> s & 1 == cross >> index[segment] & 1, (r, s)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: gen_convex_chain(12), lambda: gen_cap_with_apex(8),
+     lambda: coords(*_CHAIN12, *_CHAIN12_INTERIOR)],
+    ids=["convex12", "cap_apex8", "hull12of16"],
+)
+def test_kernel_rows_on_both_orders(make):
+    # convex12 and hull12of16 sweep around the hull; cap_apex8 (a triangle
+    # hull) keeps descending crossing count
+    assert_rcross_is_cross_in_kernel_order(enumeration._Workspace(make()))
+
+
 @st.composite
 def relabelled_sets(draw):
     """A general-position set of 6-8 points and the same set relabelled."""
@@ -387,6 +411,14 @@ def relabelled_sets(draw):
     )
     perm = draw(st.permutations(range(len(pts))))
     return PointSet.from_coords(pts), PointSet.from_coords([pts[i] for i in perm]), perm
+
+
+@given(sets_and_masks(), relabelled_sets())
+@settings(max_examples=40, deadline=None)
+def test_kernel_rows_are_the_crossings_in_kernel_order(case, relabelled_case):
+    assert_rcross_is_cross_in_kernel_order(case[0])
+    for ps in relabelled_case[:2]:
+        assert_rcross_is_cross_in_kernel_order(enumeration._Workspace(ps))
 
 
 @given(relabelled_sets())

@@ -32,7 +32,6 @@ from planegraphs import (
     gen_triangular_hull_random,
     graph_charge_v0,
     is_triangular_hull,
-    potential,
     segments_cross,
     verify_graph_charge_cap,
     verify_previous_lower,
@@ -54,6 +53,8 @@ from planegraphs.verify import (
     stirling_sweep,
     ving_charge_argmax_sweep,
 )
+
+from conftest import potential
 
 
 def decode(edges: int, n: int) -> list[tuple[int, int]]:

@@ -22,12 +22,13 @@ from planegraphs import (
     SelfCheckError,
     enumeration,
     expected_degree_vector,
-    family_members,
     gen_cap_with_apex,
     gen_triangular_hull_random,
     save_pts,
 )
 from planegraphs.cli import main
+
+from conftest import family_members
 
 
 @pytest.fixture(autouse=True)
@@ -137,9 +138,9 @@ def test_violated_without_witness(monkeypatch, capsys, tmp_path):
 
 
 def test_family_member_crossing(monkeypatch):
-    # No command reaches `family_members`, so the library call is checked:
-    # with every segment crossing itself, the first member with an edge at
-    # the point fails the check.
+    # `family_members` is a test helper in conftest, which no command
+    # reaches, so it is called directly: with every segment crossing itself,
+    # the first member with an edge at the point fails the check.
     ps = gen_cap_with_apex(5)
     real = enumeration._Workspace.blocked
     monkeypatch.setattr(
