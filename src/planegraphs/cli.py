@@ -18,6 +18,11 @@ the library functions take none.
 alone; `count` always prints pg on stdout, and `--format` shapes its
 `--out` report.
 
+One writer, ``_report``, writes every report: a command states its JSON
+fields and its CSV table once each, and only the form `--format` asks for
+is built.  ``_report`` is the one place that loads ``reports``, so `count`
+without `--out` never loads it.
+
 A run imports only what its command reaches: each command imports the
 modules it runs, so `validate` loads the geometry alone, and `count`,
 `degrees` and `triangulations` never load the verifiers, the charging audit
@@ -71,6 +76,19 @@ def _emit(text: str, out: Path | None) -> None:
         out.write_text(text)
 
 
+def _report(args, subcommand: str, ps: PointSet | None, body, table) -> None:
+    """Write `subcommand`'s report on `ps` in the form that `args.fmt` asks
+    for: JSON, the envelope merged with the fields that `body()` returns, or
+    CSV, the `(header, rows)` that `table()` returns.  Only that form is
+    built."""
+    from .reports import dumps_csv, dumps_json, envelope
+
+    if args.fmt == "json":
+        _emit(dumps_json(envelope(subcommand, ps) | body()), args.out)
+    else:
+        _emit(dumps_csv(subcommand, ps, *table()), args.out)
+
+
 def cmd_validate(args) -> int:
     try:
         ps = load_pts(args.pts)
@@ -88,51 +106,47 @@ def cmd_count(args) -> int:
     ps = _load(args)
     pg = count_plane_graphs(ps)
     if args.out is not None:  # written first: a failed write leaves stdout empty
-        from .reports import dumps_csv, dumps_json, envelope
-
-        if args.fmt == "json":
-            payload = envelope("count", ps) | {"n": ps.n, "pg": str(pg)}
-            _emit(dumps_json(payload), args.out)
-        else:
-            _emit(dumps_csv("count", ps, ["n", "pg"], [[ps.n, pg]]), args.out)
+        _report(
+            args, "count", ps,
+            lambda: {"n": ps.n, "pg": str(pg)},
+            lambda: (["n", "pg"], [[ps.n, pg]]),
+        )
     print(pg)
     return 0
 
 
 def cmd_degrees(args) -> int:
     from .enumeration import expected_degree_vector
-    from .reports import dumps_csv, dumps_json, envelope
 
     ps = _load(args)
     dv = expected_degree_vector(ps)
-    if args.fmt == "json":
-        payload = envelope("degrees", ps) | {
+    _report(
+        args, "degrees", ps,
+        lambda: {
             "n": ps.n,
             "pg": str(dv.pg),
             "ving_counts": [str(v) for v in dv.ving_counts],
             "vhat": list(dv.vhat),
-        }
-        _emit(dumps_json(payload), args.out)
-    else:
-        rows = [
-            [i, dv.ving_counts[i], dv.vhat[i].numerator, dv.vhat[i].denominator]
-            for i in range(ps.n)
-        ]
-        _emit(
-            dumps_csv("degrees", ps, ["i", "ving_count", "vhat_numerator", "vhat_denominator"], rows),
-            args.out,
-        )
+        },
+        lambda: (
+            ["i", "ving_count", "vhat_numerator", "vhat_denominator"],
+            [
+                [i, dv.ving_counts[i], dv.vhat[i].numerator, dv.vhat[i].denominator]
+                for i in range(ps.n)
+            ],
+        ),
+    )
     return 0
 
 
 def cmd_triangulations(args) -> int:
     from .enumeration import enumerate_triangulations
-    from .reports import dumps_csv, dumps_json, envelope
 
     ps = _load(args)
     stats = enumerate_triangulations(ps)
-    if args.fmt == "json":
-        payload = envelope("triangulations", ps) | {
+    _report(
+        args, "triangulations", ps,
+        lambda: {
             "count": str(stats.count),
             "records": [
                 {
@@ -143,46 +157,39 @@ def cmd_triangulations(args) -> int:
                 }
                 for r in stats.records
             ],
-        }
-        _emit(dumps_json(payload), args.out)
-    else:
-        rows = [
-            [f"{r.edges:x}", r.v3, r.v4, " ".join(map(str, r.histogram))]
-            for r in stats.records
-        ]
-        _emit(dumps_csv("triangulations", ps, ["graph", "v3", "v4", "histogram"], rows), args.out)
+        },
+        lambda: (
+            ["graph", "v3", "v4", "histogram"],
+            [
+                [f"{r.edges:x}", r.v3, r.v4, " ".join(map(str, r.histogram))]
+                for r in stats.records
+            ],
+        ),
+    )
     return 0
 
 
 def cmd_charge_audit(args) -> int:
     from .charging import charge_audit
-    from .reports import dumps_csv, dumps_json, envelope
 
     ps = _load(args)
     audit = charge_audit(ps)
-    if args.fmt == "json":
-        _emit(dumps_json(envelope("charge-audit", ps) | audit), args.out)
-    else:
-        rows = [
-            [row["point"], row["visibility_j"], row["multiplicity"]]
-            for row in audit["family_census"]
-        ]
-        _emit(
-            dumps_csv("charge-audit", ps, ["point", "visibility_j", "multiplicity"], rows),
-            args.out,
-        )
+    columns = ["point", "visibility_j", "multiplicity"]
+    _report(
+        args, "charge-audit", ps,
+        lambda: audit,
+        lambda: (columns, [[row[c] for c in columns] for row in audit["family_census"]]),
+    )
     return 0
 
 
 def cmd_verify(args) -> int:
-    from .reports import dumps_json, envelope
     from .verify import run_claims
 
     ps = _load(args)
     claims = args.claims.split(",") if args.claims is not None else None
     reports = run_claims(ps, claims)
-    payload = envelope("verify", ps) | {"reports": [r._asdict() for r in reports]}
-    _emit(dumps_json(payload), args.out)
+    _report(args, "verify", ps, lambda: {"reports": [r._asdict() for r in reports]}, None)
     return 1 if any(r.status == "violated" for r in reports) else 0
 
 
@@ -196,7 +203,6 @@ def cmd_gen(args) -> int:
 
 def cmd_construction_report(args) -> int:
     from .constructions import fn_ratio_table, v0_trend_table
-    from .reports import dumps_csv, dumps_json, envelope
 
     n_max = args.n_max
     if n_max < 3:
@@ -204,10 +210,11 @@ def cmd_construction_report(args) -> int:
     _check_cap(args, n_max)
     ratio_rows = fn_ratio_table(n_max)
     trend_rows = v0_trend_table(n_max)
-    if args.fmt == "json":
+
+    def body() -> dict:
         from .verify import verify_product_law
 
-        payload = envelope("construction-report", None) | {
+        return {
             "fn_ratio": [
                 {**row, "exact": str(row["exact"])} for row in ratio_rows
             ],
@@ -216,27 +223,22 @@ def cmd_construction_report(args) -> int:
                 {"n": n, "status": verify_product_law(n).status} for n in range(4, n_max + 1)
             ],
         }
-        _emit(dumps_json(payload), args.out)
-    else:
-        rows = []
-        for row in ratio_rows:
-            rows.append(
-                ["fn_ratio", row["m"], row["exact"], repr(row["ratio"]),
-                 "" if row["growth_factor"] is None else repr(row["growth_factor"]), ""]
-            )
-        for row in trend_rows:
-            rows.append(
-                ["v0_trend", row["n"], row["vhat0"],
-                 repr(row["scaled_23.31"]), repr(row["scaled_23.314"]),
-                 repr(row["scaled_23.32"])]
-            )
-        _emit(
-            dumps_csv(
-                "construction-report", None,
-                ["table", "size", "value", "x1", "x2", "x3"], rows,
-            ),
-            args.out,
-        )
+
+    def table() -> tuple[list[str], list[list]]:
+        rows = [
+            ["fn_ratio", row["m"], row["exact"], repr(row["ratio"]),
+             "" if row["growth_factor"] is None else repr(row["growth_factor"]), ""]
+            for row in ratio_rows
+        ]
+        rows += [
+            ["v0_trend", row["n"], row["vhat0"],
+             repr(row["scaled_23.31"]), repr(row["scaled_23.314"]),
+             repr(row["scaled_23.32"])]
+            for row in trend_rows
+        ]
+        return ["table", "size", "value", "x1", "x2", "x3"], rows
+
+    _report(args, "construction-report", None, body, table)
     return 0
 
 
@@ -262,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         p.add_argument("pts", help="point-set file in .pts format")
         _add_common(p, fmt)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, fmt="json")  # verify, without --format, writes JSON
         if name == "verify":
             p.add_argument(
                 "--claims",

@@ -99,12 +99,18 @@ def gen_triangular_hull_random(n: int, seed: int) -> PointSet:
 
     A candidate is kept iff no pair of kept points is collinear with it (a
     duplicate shows as a zero orientation), so only its own triples are
-    tested.  Deterministic in the seed; raises if the rejection budget runs out.
+    tested.  Deterministic in the seed; raises if the rejection budget runs out,
+    and before drawing if n exceeds what the grid holds: no three points share
+    a row, so it fits the hull's three and two on each of its size - 2
+    interior rows.
     """
     if n < 4:
         raise ValueError("needs at least 4 points")
-    rng = random.Random(seed)
     size = RANDOM_HULL_SIZE
+    most = 3 + 2 * (size - 2)
+    if n > most:
+        raise ValueError(f"triangular_hull_random fits at most {most} points, got {n}")
+    rng = random.Random(seed)
     pts = [(0, 0), (size, 0), (0, size)]
     budget = 20000 * n
     while len(pts) < n:

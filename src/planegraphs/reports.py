@@ -114,16 +114,11 @@ def _write_json(obj, lead: str, newline: str, out: Callable[[str], None], shapes
         raise TypeError(f"cannot serialize {kind.__name__}")
 
 
-def csv_header(subcommand: str, ps: PointSet | None) -> list[str]:
+def dumps_csv(subcommand: str, ps: PointSet | None, header: list[str], rows: list[list]) -> str:
     lines = [f"# planegraphs {__version__} {subcommand}"]
     if ps is not None:
         lines.append(f"# input_sha256={ps.sha256()}")
     lines.append(f"# segment_indexing={SEGMENT_INDEXING}")
-    return lines
-
-
-def dumps_csv(subcommand: str, ps: PointSet | None, header: list[str], rows: list[list]) -> str:
-    lines = csv_header(subcommand, ps)
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_csv_cell(v) for v in row))
@@ -131,8 +126,6 @@ def dumps_csv(subcommand: str, ps: PointSet | None, header: list[str], rows: lis
 
 
 def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     return str(value)

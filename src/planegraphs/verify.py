@@ -422,7 +422,7 @@ def _robbins_margins(
     return lf_lo - lower_hi, upper_lo - lf_hi
 
 
-def stirling_sweep(m_max: int = 500) -> VerificationReport:
+def stirling_sweep(m_max: int) -> VerificationReport:
     """Robbins bounds for every m <= m_max, with an incremental ln m! enclosure."""
 
     def steps():
@@ -461,7 +461,7 @@ def central_binomial_sweep(i_max: int) -> VerificationReport:
     )
 
 
-def ving_charge_argmax_sweep(i_max: int = 64) -> VerificationReport:
+def ving_charge_argmax_sweep(i_max: int) -> VerificationReport:
     """The per-ving charge profile peaks exactly on the plateau {2i-1, 2i}."""
     witness = None
     for i in range(1, i_max + 1):

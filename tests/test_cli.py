@@ -368,6 +368,41 @@ def test_directory_is_a_usage_error(tri_file, tmp_path, capsys):
         assert len(errors) == 1 and errors[0].startswith("error: "), argv
 
 
+_OUT_REPORTS = [
+    ("degrees",), ("degrees", "--format", "csv"),
+    ("triangulations",), ("triangulations", "--format", "csv"),
+    ("charge-audit",), ("charge-audit", "--format", "csv"),
+    ("verify",),
+]
+
+
+@pytest.mark.parametrize(
+    "gen_args, argv",
+    [
+        (gen_args, argv)
+        for gen_args in (("cap_with_apex", 6), ("triangular_hull_random", 7, "--seed", 1))
+        for argv in _OUT_REPORTS
+    ]
+    + [(None, ("construction-report", 6)), (None, ("construction-report", 6, "--format", "json"))],
+    ids=lambda v: "-".join(map(str, v)) if v else "no-input",
+)
+def test_out_writes_the_stdout_bytes(gen_args, argv, tmp_path, capsys):
+    # the same report goes to --out as to stdout, and an --out run leaves
+    # stdout empty
+    if gen_args is None:
+        args = list(argv)
+    else:
+        pts = tmp_path / "in.pts"
+        assert run_cli("gen", *gen_args, "-o", pts) == 0
+        args = [argv[0], pts, *argv[1:]]
+    assert run_cli(*args) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "report"
+    assert run_cli(*args, "--out", out) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == stdout.encode()
+
+
 class TestGen:
     def test_gen_count_pipeline(self, tmp_path, capsys):
         pts = tmp_path / "chain5.pts"
@@ -384,6 +419,23 @@ class TestGen:
         assert run_cli("gen", "triangular_hull_random", 6, "--seed", 4, "-o", a) == 0
         assert run_cli("gen", "triangular_hull_random", 6, "--seed", 4, "-o", b) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_gen_random_refuses_more_points_than_its_grid_holds(self, tmp_path):
+        # no three points share a row of the grid, so 3 + 2 * (4096 - 2) fit;
+        # past that the rejection sampling would never end, hence the timeout
+        out = tmp_path / "big.pts"
+        proc = subprocess.run(
+            [sys.executable, "-m", "planegraphs.cli", "gen", "triangular_hull_random", "8192",
+             "-o", str(out)],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+            timeout=10,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: triangular_hull_random fits at most 8191 points, got 8192\n"
+        assert not out.exists()
 
 
 class TestConstructionReport:
