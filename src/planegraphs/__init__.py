@@ -15,7 +15,6 @@ _EXPORTS = {
     "geometry": (
         "COORD_LIMIT", "GeneralPositionError", "PointSet", "PtsFormatError", "convex_hull",
         "is_triangular_hull", "load_pts", "orientation", "parse_pts", "save_pts",
-        "segments_cross",
     ),
     "crossings": (
         "CrossingSets", "SEGMENT_INDEXING", "SegmentTable", "build_crossing_sets",

@@ -6,7 +6,8 @@ collinear by the Vandermonde argument) with exact integer coordinates.  The
 apex of the cap-with-apex construction is proved to work at one fixed height,
 and the proof is checked, not assumed: generation is a self-check failure
 unless no apex segment crosses any chord of the cap and the hull is the
-expected triangle.
+expected triangle.  The certificate asks the crossing table's own rule,
+:func:`planegraphs.crossings.crossed`, once per apex segment.
 """
 
 from __future__ import annotations
@@ -16,14 +17,9 @@ import random
 from itertools import combinations
 from typing import NamedTuple
 
+from .crossings import crossed
 from .enumeration import SelfCheckError, count_plane_graphs, expected_degree_vector
-from .geometry import (
-    COORD_LIMIT,
-    PointSet,
-    convex_hull,
-    orientation,
-    segments_cross,
-)
+from .geometry import COORD_LIMIT, PointSet, convex_hull, orientation
 
 
 class ConstructionSpec(NamedTuple):
@@ -53,14 +49,9 @@ def gen_convex_chain(m: int) -> PointSet:
 
 
 def _apex_certified(ps: PointSet) -> bool:
-    """No apex segment (label 0 to i) crosses any cap chord (a, b)."""
-    pts = ps.points
-    for i in range(1, ps.n):
-        for a in range(1, ps.n):
-            for b in range(a + 1, ps.n):
-                if i not in (a, b) and segments_cross(pts[0], pts[i], pts[a], pts[b]):
-                    return False
-    return True
+    """No apex segment (label 0 to i) crosses any cap chord (a, b): any
+    segment crossing (0, i) misses the apex, so it is such a chord."""
+    return not any(crossed(ps, 0, i) for i in range(1, ps.n))
 
 
 def gen_cap_with_apex(n: int) -> PointSet:
@@ -76,9 +67,10 @@ def gen_cap_with_apex(n: int) -> PointSet:
       chord only when the apex does not, that is when a*b >= h.
 
     But a*b <= (n-1)(n-2) < h, so this one height is in general position
-    with no apex segment crossing a chord.  The exhaustive non-crossing
-    certificate and the hull, the triangle (apex, first cap point, last cap
-    point), are still checked; a failure is a :class:`SelfCheckError`.
+    with no apex segment crossing a chord.  The non-crossing certificate,
+    every apex segment against every segment that could cross it, and the
+    hull, the triangle (apex, first cap point, last cap point), are still
+    checked; a failure is a :class:`SelfCheckError`.
     """
     if n < 4:
         raise ValueError("cap with apex needs at least 4 points")
@@ -101,13 +93,14 @@ def gen_triangular_hull_random(n: int, seed: int) -> PointSet:
     duplicate shows as a zero orientation), so only its own triples are
     tested.  Deterministic in the seed; raises if the rejection budget runs out,
     and before drawing if n exceeds what the grid holds: no three points share
-    a row, so it fits the hull's three and two on each of its size - 2
-    interior rows.
+    a row, so it fits the hull's three, two on each of its first size - 3
+    interior rows and one on the last, y = size - 2, where only x = 1 lies
+    inside the hull.
     """
     if n < 4:
         raise ValueError("needs at least 4 points")
     size = RANDOM_HULL_SIZE
-    most = 3 + 2 * (size - 2)
+    most = 3 + 2 * (size - 3) + 1
     if n > most:
         raise ValueError(f"triangular_hull_random fits at most {most} points, got {n}")
     rng = random.Random(seed)

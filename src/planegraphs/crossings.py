@@ -13,7 +13,8 @@ The crossing table is read off the point set's orientation masks
 the set was built): segment (i, j) is crossed by exactly the (p, q) with p
 left of i -> j, q right of it, and i, j on opposite sides of p -> q.  The
 work is one step per crossing pair and side; no pair of segments is tested
-on its own, which would take C(m,2) tests.
+on its own, which would take C(m,2) tests.  :func:`crossed` is the same rule
+for one segment, as a yes or no: O(n) steps.
 """
 
 from __future__ import annotations
@@ -86,6 +87,14 @@ def build_crossing_sets(ps: PointSet, segments: Sequence[tuple[int, int]]) -> Cr
                 rest ^= low
         cross.append(row)
     return CrossingSets(cross=tuple(cross))
+
+
+def crossed(ps: PointSet, i: int, j: int) -> bool:
+    """True iff some segment of `ps` crosses segment (i, j): the row rule of
+    :func:`build_crossing_sets`, stopped at the first crossing it finds."""
+    ccw_i, ccw_j = ps.ccw[i], ps.ccw[j]
+    left, right = ccw_i[j], ccw_j[i]
+    return any(left >> p & 1 and right & (ccw_i[p] ^ ccw_j[p]) for p in range(ps.n))
 
 
 @lru_cache(maxsize=64)

@@ -67,7 +67,7 @@ refuses an input above its cap once, when it reads it.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import prod
 from operator import add, mul
 from typing import TYPE_CHECKING, Callable, Container, Iterator, NamedTuple
@@ -114,7 +114,7 @@ class TriangulationStats(NamedTuple):
 class _Workspace:
     """Per-point-set enumeration state: conflict masks by segment index and
     in the counting kernel's order, the count memo, and the degree vector
-    and the triangulations, once computed."""
+    and the triangulations, each computed on first read and kept."""
 
     def __init__(self, ps: PointSet):
         self.ps = ps
@@ -130,8 +130,6 @@ class _Workspace:
         self.rcross = build_crossing_sets(ps, self.ends).cross
         self.root = self._split(self.full)
         self.memo: dict[int, int] = {}
-        self.degrees: DegreeExpectation | None = None
-        self.triangulations: TriangulationStats | None = None
 
     def _order_key(self) -> Callable[[int], object]:
         """The sort key of the kernel's segment order (see :meth:`_count`):
@@ -243,7 +241,7 @@ class _Workspace:
         The polynomial is evaluated at x = 2^B with B = ``self.digit_bits`` =
         m + 1.  Every coefficient counts edge sets, so it is at most 2^m < 2^B,
         and each c_d is the B-bit digit d of the result.  A digit that carried
-        would break ``sum(row) == pg`` in :func:`expected_degree_vector`.
+        would break ``sum(row) == pg`` in :attr:`degrees`.
 
         The components of :meth:`_walk` are collected first, with the number
         of splits that hold each, so ``self.memo`` keeps plain counts only,
@@ -293,6 +291,26 @@ class _Workspace:
             polys[comp] = poly
         return product(self.root)
 
+    @cached_property
+    def degrees(self) -> DegreeExpectation:
+        """The degree statistics of :func:`expected_degree_vector`: each
+        point's row is the digits of its packed polynomial, and each row
+        must sum to pg, the last entry; a row that does not raises and
+        caches nothing."""
+        n = self.ps.n
+        bits = self.digit_bits
+        digit = (1 << bits) - 1
+        *polys, pg = self.degree_polynomials()
+        rows = [tuple(poly >> (d * bits) & digit for d in range(n)) for poly in polys]
+        for row in rows:
+            if sum(row) != pg:
+                raise SelfCheckError("per-point degree counts must partition the census")
+        ving = tuple(sum(row[i] for row in rows) for i in range(n))
+        from fractions import Fraction  # here alone: `count` builds no Fraction
+
+        vhat = tuple(Fraction(v, pg) for v in ving)
+        return DegreeExpectation(pg=pg, ving_counts=ving, vhat=vhat, per_point=tuple(rows))
+
     # -- streaming enumeration over a restricted universe --------------------
 
     def independent_sets(self, avail: int) -> Iterator[tuple[int, int]]:
@@ -325,6 +343,67 @@ class _Workspace:
             blocked |= cross[lsb.bit_length() - 1]
             edges ^= lsb
         return blocked
+
+    # -- the maximal plane graphs --------------------------------------------
+
+    @cached_property
+    def triangulations(self) -> TriangulationStats:
+        """The triangulations of :func:`enumerate_triangulations`, with their
+        degree data.
+
+        A triangulation is a maximal independent set of the crossing graph, so
+        the walk is the pivoted Bron-Kerbosch search (Tomita-Tanaka-Takahashi)
+        over an explicit stack of ``(chosen, cand, excl)``: `cand` holds the
+        segments that may still be added, `excl` the skipped ones that no
+        chosen segment crosses yet.  A node branches on the segments of `cand`
+        that lie in the smallest set ``cand & (cross[u] | u)`` over u in
+        ``cand | excl``, and a branch moves its segment from `cand` to `excl`
+        for its later siblings.  A node with nothing left in `cand` is a
+        triangulation iff `excl` is empty.  The records are sorted into the
+        order of :func:`enumerate_plane_graphs` reversed: descending in the
+        bit-reversed edge mask.
+        """
+        n, m = self.ps.n, self.m
+        cross = self.cross
+        inc = self.table.incident_masks
+
+        found: list[int] = []
+        stack = [(0, self.full, 0)]
+        while stack:
+            chosen, cand, excl = stack.pop()
+            if not cand:
+                if not excl:
+                    found.append(chosen)
+                continue
+            branch, size = 0, m + 1
+            mm = cand | excl
+            while mm:
+                lsb = mm & -mm
+                mm ^= lsb
+                b = cand & (cross[lsb.bit_length() - 1] | lsb)
+                c = b.bit_count()
+                if c < size:
+                    branch, size = b, c
+                    if c <= 1:  # only 0 beats 1, and then the one branch dies too
+                        break
+            while branch:
+                v = branch & -branch
+                branch ^= v
+                keep = ~(cross[v.bit_length() - 1] | v)
+                stack.append((chosen | v, cand & keep, excl & keep))
+                cand ^= v
+                excl |= v
+        found.sort(key=lambda edges: format(edges, f"0{m}b")[::-1], reverse=True)
+
+        records: list[TriangulationRecord] = []
+        for edges in found:
+            hist = [0] * n
+            for p in range(n):
+                hist[(edges & inc[p]).bit_count()] += 1
+            v3 = hist[3] if n > 3 else 0
+            v4 = hist[4] if n > 4 else 0
+            records.append(TriangulationRecord(edges=edges, v3=v3, v4=v4, histogram=tuple(hist)))
+        return TriangulationStats(count=len(records), records=tuple(records))
 
 
 workspace = _workspace = lru_cache(maxsize=64)(_Workspace)
@@ -375,29 +454,14 @@ def expected_degree_vector(
     the rows come from that pass for any value.  `max_n`, if given, refuses
     a set of more points with :class:`EnumerationLimitError`.  Both stay
     only because ``perfbench/tracer.py`` passes them.  The result is kept on
-    the point set's workspace, so a second call returns it without a pass.
+    the point set's workspace (:attr:`_Workspace.degrees`), so a second call
+    returns it without a pass.
     """
     if workers < 1:
         raise ValueError("worker count must be >= 1")
     if max_n is not None and ps.n > max_n:
         raise EnumerationLimitError(f"n={ps.n} exceeds the cap of {max_n}")
-    ws = workspace(ps)
-    if ws.degrees is not None:
-        return ws.degrees
-    n = ps.n
-    bits = ws.digit_bits
-    digit = (1 << bits) - 1
-    *polys, pg = ws.degree_polynomials()
-    rows = [tuple(poly >> (d * bits) & digit for d in range(n)) for poly in polys]
-    for row in rows:
-        if sum(row) != pg:
-            raise SelfCheckError("per-point degree counts must partition the census")
-    ving = tuple(sum(row[i] for row in rows) for i in range(n))
-    from fractions import Fraction  # here alone: `count` builds no Fraction
-
-    vhat = tuple(Fraction(v, pg) for v in ving)
-    ws.degrees = DegreeExpectation(pg=pg, ving_counts=ving, vhat=vhat, per_point=tuple(rows))
-    return ws.degrees
+    return workspace(ps).degrees
 
 
 def is_triangulation(ps: PointSet, edges: int) -> bool:
@@ -407,63 +471,7 @@ def is_triangulation(ps: PointSet, edges: int) -> bool:
 
 
 def enumerate_triangulations(ps: PointSet) -> TriangulationStats:
-    """Visit exactly the maximal plane graphs; record per-graph degree data.
-
-    A triangulation is a maximal independent set of the crossing graph, so
-    the walk is the pivoted Bron-Kerbosch search (Tomita-Tanaka-Takahashi)
-    over an explicit stack of ``(chosen, cand, excl)``: `cand` holds the
-    segments that may still be added, `excl` the skipped ones that no chosen
-    segment crosses yet.  A node branches on the segments of `cand` that lie
-    in the smallest set ``cand & (cross[u] | u)`` over u in ``cand | excl``,
-    and a branch moves its segment from `cand` to `excl` for its later
-    siblings.  A node with nothing left in `cand` is a triangulation iff
-    `excl` is empty.  The records are sorted into the order of
-    :func:`enumerate_plane_graphs` reversed: descending in the bit-reversed
-    edge mask.  The result is kept on the point set's workspace, so a second
-    call returns it without a walk.
-    """
-    ws = workspace(ps)
-    if ws.triangulations is not None:
-        return ws.triangulations
-    n, m = ps.n, ws.m
-    cross = ws.cross
-    inc = ws.table.incident_masks
-
-    found: list[int] = []
-    stack = [(0, ws.full, 0)]
-    while stack:
-        chosen, cand, excl = stack.pop()
-        if not cand:
-            if not excl:
-                found.append(chosen)
-            continue
-        branch, size = 0, m + 1
-        mm = cand | excl
-        while mm:
-            lsb = mm & -mm
-            mm ^= lsb
-            b = cand & (cross[lsb.bit_length() - 1] | lsb)
-            c = b.bit_count()
-            if c < size:
-                branch, size = b, c
-                if c <= 1:  # only 0 beats 1, and then the one branch dies too
-                    break
-        while branch:
-            v = branch & -branch
-            branch ^= v
-            keep = ~(cross[v.bit_length() - 1] | v)
-            stack.append((chosen | v, cand & keep, excl & keep))
-            cand ^= v
-            excl |= v
-    found.sort(key=lambda edges: format(edges, f"0{m}b")[::-1], reverse=True)
-
-    records: list[TriangulationRecord] = []
-    for edges in found:
-        hist = [0] * n
-        for p in range(n):
-            hist[(edges & inc[p]).bit_count()] += 1
-        v3 = hist[3] if n > 3 else 0
-        v4 = hist[4] if n > 4 else 0
-        records.append(TriangulationRecord(edges=edges, v3=v3, v4=v4, histogram=tuple(hist)))
-    ws.triangulations = TriangulationStats(count=len(records), records=tuple(records))
-    return ws.triangulations
+    """Visit exactly the maximal plane graphs; record per-graph degree data
+    (see :attr:`_Workspace.triangulations`).  The result is kept on the
+    point set's workspace, so a second call returns it without a walk."""
+    return workspace(ps).triangulations

@@ -13,9 +13,9 @@ is built computes each of its C(n,3) triple determinants once.  A degenerate
 input raises :class:`GeneralPositionError` with the explicit list of
 violations instead of being silently repaired; otherwise the signs are kept
 as ``ps.ccw``, one bit-vector per ordered pair, which the crossing table and
-:func:`convex_hull` read.  :func:`orientation` (the sign -1, 0 or 1) and
-:func:`segments_cross` test points one at a time, for generators and as
-independent oracles.
+:func:`convex_hull` read.  :func:`orientation` (the sign -1, 0 or 1) is the
+one predicate on points one at a time, for the random generator and tests;
+which segments cross is decided in :mod:`planegraphs.crossings` alone.
 """
 
 from __future__ import annotations
@@ -158,28 +158,6 @@ def _orientations(pts: Sequence[tuple[int, int]]) -> tuple[list[tuple], tuple[tu
                 else:
                     violations.append(("collinear", (i, j, k)))
     return violations, tuple(map(tuple, masks))
-
-
-def segments_cross(
-    a: tuple[int, int], b: tuple[int, int], c: tuple[int, int], d: tuple[int, int]
-) -> bool:
-    """True iff the open segments ab and cd share an interior point.
-
-    Segments that share an endpoint never cross.  A collinear triple among
-    the four points (impossible in general position) raises
-    GeneralPositionError.
-    """
-    if {a, b} == {c, d}:
-        raise ValueError("segments_cross requires two distinct segments")
-    if {a, b} & {c, d}:
-        return False
-    o1 = orientation(a, b, c)
-    o2 = orientation(a, b, d)
-    o3 = orientation(c, d, a)
-    o4 = orientation(c, d, b)
-    if 0 in (o1, o2, o3, o4):
-        raise GeneralPositionError([("collinear", (a, b, c, d))])
-    return o1 != o2 and o3 != o4
 
 
 def convex_hull(ps: PointSet) -> tuple[int, ...]:

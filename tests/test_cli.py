@@ -421,21 +421,25 @@ class TestGen:
         assert a.read_bytes() == b.read_bytes()
 
     def test_gen_random_refuses_more_points_than_its_grid_holds(self, tmp_path):
-        # no three points share a row of the grid, so 3 + 2 * (4096 - 2) fit;
-        # past that the rejection sampling would never end, hence the timeout
-        out = tmp_path / "big.pts"
-        proc = subprocess.run(
-            [sys.executable, "-m", "planegraphs.cli", "gen", "triangular_hull_random", "8192",
-             "-o", str(out)],
-            capture_output=True,
-            text=True,
-            env=_child_env(),
-            timeout=10,
-        )
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr == "error: triangular_hull_random fits at most 8191 points, got 8192\n"
-        assert not out.exists()
+        # no three points share a row of the grid, and its last interior row
+        # holds one candidate, so 3 + 2 * (4096 - 3) + 1 fit; past that the
+        # rejection sampling would never end, hence the timeout
+        for n in (8191, 8192):
+            out = tmp_path / f"big{n}.pts"
+            proc = subprocess.run(
+                [sys.executable, "-m", "planegraphs.cli", "gen", "triangular_hull_random",
+                 str(n), "-o", str(out)],
+                capture_output=True,
+                text=True,
+                env=_child_env(),
+                timeout=10,
+            )
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            assert proc.stderr == (
+                f"error: triangular_hull_random fits at most 8190 points, got {n}\n"
+            )
+            assert not out.exists()
 
 
 class TestConstructionReport:

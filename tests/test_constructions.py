@@ -13,13 +13,12 @@ from planegraphs import (
     gen_convex_chain,
     gen_triangular_hull_random,
     is_triangular_hull,
-    segments_cross,
     verify_product_law,
 )
 from planegraphs import SelfCheckError, constructions, geometry
 from planegraphs.constructions import ConstructionSpec, fn_ratio_table, v0_trend_table
 
-from conftest import gp_violations
+from conftest import gp_violations, segments_cross_oracle
 
 
 class TestConvexChain:
@@ -54,7 +53,7 @@ class TestCapWithApex:
                 for k in range(j + 1, 6):
                     if i in (j, k):
                         continue
-                    assert not segments_cross(pts[0], pts[i], pts[j], pts[k])
+                    assert not segments_cross_oracle(pts[0], pts[i], pts[j], pts[k])
 
     def test_apex_zero_ving_fraction(self):
         # the apex is isolated in exactly the graphs with no apex edge
@@ -87,6 +86,35 @@ class TestCapWithApex:
         monkeypatch.setattr(constructions, "_apex_certified", lambda ps: False)
         with pytest.raises(SelfCheckError, match=r"cap_with_apex\(5\)"):
             gen_cap_with_apex(5)
+
+    def test_certificate_refuses_a_low_apex(self):
+        # at height 7 the chord (2, 5), which meets x = 0 at 2 * 5 = 10,
+        # passes above the apex and crosses the apex segment (0, 4)
+        ps = PointSet([(0, 7)] + [(k, -k * k) for k in range(1, 6)])
+        pts = ps.points
+        assert segments_cross_oracle(pts[0], pts[4], pts[2], pts[5])
+        assert not constructions._apex_certified(ps)
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_certificate_matches_the_oracle_at_every_height(self, n):
+        # the apex (0, h) is collinear with cap points a < b iff h = a * b
+        products = {a * b for a in range(1, n) for b in range(a + 1, n)}
+        verdicts = set()
+        for h in range(1, 4 * (n - 1) ** 2 + 1):
+            if h in products:
+                continue
+            ps = PointSet([(0, h)] + [(k, -k * k) for k in range(1, n)])
+            pts = ps.points
+            clear = not any(
+                segments_cross_oracle(pts[0], pts[i], pts[a], pts[b])
+                for i in range(1, n)
+                for a in range(1, n)
+                for b in range(a + 1, n)
+                if i not in (a, b)
+            )
+            assert constructions._apex_certified(ps) == clear
+            verdicts.add(clear)
+        assert verdicts == {True, False}
 
 
 class TestTriangularHullRandom:

@@ -14,7 +14,7 @@ from planegraphs import (
     gen_triangular_hull_random,
     orientation,
 )
-from planegraphs.crossings import structures
+from planegraphs.crossings import crossed, structures
 
 from conftest import count_convex_quadruples, segments_cross_oracle, standard_small_sets
 
@@ -100,7 +100,8 @@ def test_crossing_pairs_equal_convex_quadruples():
 
 
 def assert_crossings_match_oracle(ps):
-    """Every row of the built table equals the rational oracle on the coordinates."""
+    """Every row of the built table, and `crossed` in both directions of
+    each segment, equals the rational oracle on the coordinates."""
     table = build_segment_table(ps)
     cross = build_crossing_sets(ps, table.segments).cross
     assert len(cross) == table.m == comb(ps.n, 2)
@@ -112,6 +113,7 @@ def assert_crossings_match_oracle(ps):
             if l != k and segments_cross_oracle(xy[i], xy[j], xy[p], xy[q])
         )
         assert cross[k] == expected, (k, table.segments[k])
+        assert crossed(ps, i, j) == crossed(ps, j, i) == (expected != 0)
 
 
 @st.composite
@@ -158,16 +160,16 @@ def test_tiny_sets_cross_nothing(n):
 
 
 def test_crossing_table_tests_no_segment_pair(monkeypatch):
-    """The table comes from the orientation masks alone: `segments_cross`,
+    """The table comes from the orientation masks alone: `orientation`,
     patched to raise wherever planegraphs binds it, is never called."""
     ps = gen_convex_chain(9)
 
     def refuse(*args):
-        raise AssertionError("segments_cross called while building the crossing table")
+        raise AssertionError("orientation called while building the crossing table")
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "planegraphs" and hasattr(module, "segments_cross"):
-            monkeypatch.setattr(module, "segments_cross", refuse)
+        if name.split(".")[0] == "planegraphs" and hasattr(module, "orientation"):
+            monkeypatch.setattr(module, "orientation", refuse)
     structures.cache_clear()
     _, crossings = structures(ps)
     assert crossings.total_crossing_pairs == 126 == comb(9, 4)

@@ -518,3 +518,42 @@ class TestTriangulations:
             assert rec.v3 == rec.histogram[3]
             assert rec.v4 == rec.histogram[4]
 
+
+
+class TestWorkspaceCache:
+    def test_second_call_reads_the_cache(self, monkeypatch):
+        # one degree pass and one triangulation walk per point set
+        ps = gen_cap_with_apex(6)
+        passes, walks = [], []
+        degree_polynomials = enumeration._Workspace.degree_polynomials
+        stats = enumeration.TriangulationStats
+        monkeypatch.setattr(
+            enumeration._Workspace,
+            "degree_polynomials",
+            lambda ws: passes.append(ws) or degree_polynomials(ws),
+        )
+        monkeypatch.setattr(
+            enumeration, "TriangulationStats", lambda **kw: walks.append(kw) or stats(**kw)
+        )
+        enumeration._workspace.cache_clear()
+        degrees = expected_degree_vector(ps)
+        assert expected_degree_vector(ps) is degrees
+        triangulations = enumerate_triangulations(ps)
+        assert enumerate_triangulations(ps) is triangulations
+        assert len(passes) == len(walks) == 1
+
+    def test_a_failed_self_check_caches_nothing(self, monkeypatch):
+        ps = gen_cap_with_apex(6)
+        ws = enumeration.workspace(ps)
+        polys = ws.degree_polynomials()
+        polys[2] ^= 1 << (3 * ws.digit_bits)
+        passes = []
+        monkeypatch.setattr(
+            enumeration._Workspace, "degree_polynomials", lambda ws: passes.append(ws) or polys
+        )
+        enumeration._workspace.cache_clear()
+        for _ in range(2):
+            with pytest.raises(enumeration.SelfCheckError, match="partition the census"):
+                expected_degree_vector(ps)
+        assert len(passes) == 2
+        assert "degrees" not in vars(enumeration.workspace(ps))

@@ -4,11 +4,12 @@
 not triangles, so the visibility lemma, the per-graph charge cap and the
 triangulation degree lemmas are asserted on sets that break their
 hypotheses.  Each witness is then replayed with a geometric oracle built
-from `segments_cross` on the coordinates.  The oracle never reads the
-crossing bit-vectors, which feed both `visibility` and the verifiers.  The
-verifiers that read expected-degree statistics are fed a tampered
-`DegreeExpectation`, the product law a miscounted pg, and each analytic
-sweep a perturbed enclosure or bound.
+from `segments_cross_oracle`, exact rational line intersection, on the
+coordinates.  The oracle never reads the crossing bit-vectors, which feed
+both `visibility` and the verifiers.  The verifiers that read
+expected-degree statistics are fed a tampered `DegreeExpectation`, the
+product law a miscounted pg, and each analytic sweep a perturbed enclosure
+or bound.
 
 The verifiers read their answers off the counting DP and the
 triangulations; a walk over every plane graph of three 5-point sets is the
@@ -32,7 +33,6 @@ from planegraphs import (
     gen_triangular_hull_random,
     graph_charge_v0,
     is_triangular_hull,
-    segments_cross,
     verify_graph_charge_cap,
     verify_previous_lower,
     verify_product_law,
@@ -54,7 +54,7 @@ from planegraphs.verify import (
     ving_charge_argmax_sweep,
 )
 
-from conftest import potential
+from conftest import potential, segments_cross_oracle
 
 
 def decode(edges: int, n: int) -> list[tuple[int, int]]:
@@ -66,7 +66,7 @@ def decode(edges: int, n: int) -> list[tuple[int, int]]:
 def oracle_plane(ps, edges: list[tuple[int, int]]) -> bool:
     pts = ps.points
     return not any(
-        segments_cross(pts[a], pts[b], pts[c], pts[d])
+        segments_cross_oracle(pts[a], pts[b], pts[c], pts[d])
         for i, (a, b) in enumerate(edges)
         for c, d in edges[i + 1:]
     )
@@ -80,7 +80,7 @@ def oracle_visibility(ps, edges: list[tuple[int, int]], p: int) -> int:
         seg = (min(p, q), max(p, q))
         if q == p or seg in edges:
             continue
-        if not any(segments_cross(pts[p], pts[q], pts[a], pts[b]) for a, b in edges):
+        if not any(segments_cross_oracle(pts[p], pts[q], pts[a], pts[b]) for a, b in edges):
             count += 1
     return count
 
@@ -137,7 +137,9 @@ def test_triangulation_degree_lemmas_violation_replays(monkeypatch):
     for a in range(ps.n):  # maximal: every absent segment crosses an edge
         for b in range(a + 1, ps.n):
             if (a, b) not in edges:
-                assert any(segments_cross(pts[a], pts[b], pts[c], pts[d]) for c, d in edges)
+                assert any(
+                    segments_cross_oracle(pts[a], pts[b], pts[c], pts[d]) for c, d in edges
+                )
     degrees = [sum(1 for e in edges if p in e) for p in range(ps.n)]
     v3, v4 = degrees.count(3), degrees.count(4)
     assert (v3, v4) == (5, 0)

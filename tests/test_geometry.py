@@ -1,6 +1,5 @@
 import copy
 import pickle
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +14,8 @@ from planegraphs import (
     is_triangular_hull,
     orientation,
     parse_pts,
-    segments_cross,
 )
-from conftest import coords, gp_violations, segments_cross_oracle, standard_small_sets
+from conftest import coords, gp_violations, standard_small_sets
 
 
 class TestOrientation:
@@ -51,52 +49,6 @@ class TestOrientation:
                         if len({i, j, k}) == 3 and orientation(pts[i], pts[j], pts[k]) == 1
                     )
                     assert masks[i][j] == expected
-
-
-class TestSegmentsCross:
-    def test_x_shape(self):
-        assert segments_cross((0, 0), (2, 2), (0, 2), (2, 0))
-
-    def test_shared_endpoint(self):
-        assert not segments_cross((0, 0), (1, 0), (0, 0), (0, 1))
-
-    def test_parallel_disjoint(self):
-        assert not segments_cross((0, 0), (1, 0), (0, 1), (1, 1))
-
-    def test_degenerate_raises(self):
-        with pytest.raises(GeneralPositionError):
-            segments_cross((0, 0), (2, 2), (1, 1), (3, 0))
-
-    def test_identical_segments_rejected(self):
-        with pytest.raises(ValueError):
-            segments_cross((0, 0), (1, 1), (0, 0), (1, 1))
-
-    @given(st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
-                    min_size=4, max_size=4, unique=True))
-    @settings(max_examples=300)
-    def test_symmetry_and_reversal(self, pts):
-        a, b, c, d = pts
-        try:
-            r = segments_cross(a, b, c, d)
-        except GeneralPositionError:
-            return
-        assert r == segments_cross(c, d, a, b)
-        assert r == segments_cross(b, a, c, d)
-        assert r == segments_cross(a, b, d, c)
-
-    def test_agrees_with_rational_oracle(self):
-        rng = random.Random(20260810)
-        checked = 0
-        while checked < 10**4:
-            pts = [(rng.randrange(-200, 201), rng.randrange(-200, 201)) for _ in range(4)]
-            if len(set(pts)) < 4:
-                continue
-            try:
-                got = segments_cross(*pts)
-            except GeneralPositionError:
-                continue
-            assert got == segments_cross_oracle(*pts)
-            checked += 1
 
 
 class TestValidation:
