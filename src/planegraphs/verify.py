@@ -9,12 +9,14 @@ because a graph's charge is at most that of any triangulation containing
 it.
 
 Each verifier returns :class:`VerificationReport` values with an exact
-rational margin, and :func:`_verdict` alone turns a comparison into one:
-it sets the status, keeps the witness only on "violated", and drops margin
-and witness when the claim does not apply.  A "violated" report always
-carries a reproducible witness.  Claims whose hypotheses the input does not
-satisfy come back "not-applicable" with the observed data in the details,
-so near-miss behaviour outside the hypotheses stays visible.  The v0 bound,
+rational margin, and :func:`_verdict` makes every one of them: it sets the
+status, keeps the witness only on "violated", and drops margin and witness
+when the claim does not apply.  Reports come in two shapes: :func:`_compare`
+for a comparison of two exact values, and :func:`_sweep` for a sweep over
+an index.  A "violated" report always carries a reproducible witness.
+Claims whose hypotheses the input does not satisfy come back
+"not-applicable" with the observed data in the details, so near-miss
+behaviour outside the hypotheses stays visible.  The v0 bound,
 the visibility lemma, the triangulation lemmas and the charge cap assume a
 triangular hull and n >= 5.  Each previously known lower bound c n on a
 degree count needs a set on which one of the degrees it counts can occur,
@@ -39,7 +41,7 @@ from .certified import (
     log_interval,
     pi_interval,
 )
-from .charging import _scaled_charge, census_from_degree_row, lp_charge_cap, max_family_charge
+from .charging import census_from_degree_row, lp_charge_cap, max_family_charge
 from .constructions import gen_cap_with_apex, gen_convex_chain
 from .enumeration import (
     SelfCheckError,
@@ -87,6 +89,18 @@ def _verdict(
     return VerificationReport(claim, pointset, status, margin, witness, details or {})
 
 
+def _compare(
+    claim: str, pointset: str, ok: bool | None, lhs, rhs,
+    details: dict | None = None, names: tuple[str, str] = ("lhs", "rhs"),
+) -> VerificationReport:
+    """A comparison of two exact values: the margin lhs - rhs, a witness of
+    both values as decimal strings under `names`, and `details` or else the
+    two values themselves."""
+    values = dict(zip(names, (lhs, rhs)))
+    witness = {name: str(value) for name, value in values.items()}
+    return _verdict(claim, pointset, ok, Fraction(lhs - rhs), witness, details or values)
+
+
 def _paper_hypotheses(ps: PointSet) -> bool:
     """The hypotheses of the v0 bound and the plane-graph lemmas."""
     return ps.n >= 5 and is_triangular_hull(ps)
@@ -99,19 +113,18 @@ def _paper_hypotheses(ps: PointSet) -> bool:
 
 def verify_v0_upper(ps: PointSet) -> VerificationReport:
     """Expected isolated-vertex bound 11n/112 for triangular-hull sets, n >= 5."""
-    dv = expected_degree_vector(ps)
-    vhat0 = dv.vhat[0] if ps.n else Fraction(0)
+    vhat0 = expected_degree_vector(ps).vhat[0] if ps.n else Fraction(0)
     bound = Fraction(11 * ps.n, 112)
-    margin = bound - vhat0
-    return _verdict(
-        "v0_upper", _descriptor(ps), margin > 0 if _paper_hypotheses(ps) else None, margin,
-        {"vhat0": str(vhat0), "bound": str(bound)},
+    return _compare(
+        "v0_upper", _descriptor(ps), bound > vhat0 if _paper_hypotheses(ps) else None,
+        bound, vhat0,
         {
             "vhat0": vhat0,
             "bound": bound,
             # 11/112 < 1/10.18 is a single exact comparison: 11*1018 < 112*100.
             "bound_strictly_below_n_over_10_18": 11 * 1018 < 112 * 100,
         },
+        ("bound", "vhat0"),
     )
 
 
@@ -159,10 +172,9 @@ def verify_previous_lower(ps: PointSet) -> list[VerificationReport]:
         ("prior_v2v3_lower", 2, v(2) + v(3), Fraction(n, 24), False),
     ]
     return [
-        _verdict(
+        _compare(
             claim, desc, None if n <= degree else (value > bound if strict else value >= bound),
-            value - bound, {"value": str(value), "bound": str(bound)},
-            {"value": value, "bound": bound, "strict": strict},
+            value, bound, {"value": value, "bound": bound, "strict": strict}, ("value", "bound"),
         )
         for claim, degree, value, bound, strict in checks
     ]
@@ -257,17 +269,17 @@ def verify_graph_charge_cap(ps: PointSet) -> VerificationReport:
     triangulation T, then blocked(G) is a subset of blocked(T), so
     pt(p, G) >= pt(p, T) = deg_T(p), since T is maximal.  The charge of G is
     therefore at most the charge of T, and the maximum over all plane graphs
-    is the maximum of sum_d v_d(T) 2^-d over the triangulations.
+    is the maximum of sum_d v_d(T) 2^-d over the triangulations, read off
+    each triangulation's degree histogram.
     """
     n = ps.n
     desc = _descriptor(ps)
     if not _paper_hypotheses(ps):
         return _verdict("graph_charge_cap", desc, None)
     top = n - 1
-    ws = workspace(ps)
 
-    def scaled(rec) -> int:  # a triangulation blocks every segment it does not hold
-        return _scaled_charge(ws.table.incident_masks, ws.full & ~rec.edges, top)
+    def scaled(rec) -> int:  # 2^top * sum_d v_d(T) 2^-d
+        return sum(count << (top - d) for d, count in enumerate(rec.histogram))
 
     rec = max(enumerate_triangulations(ps).records, key=scaled)
     max_charge = Fraction(scaled(rec), 1 << top)
@@ -277,7 +289,7 @@ def verify_graph_charge_cap(ps: PointSet) -> VerificationReport:
         "graph_charge_cap", desc, margin >= 0, margin,
         {"graph": f"{rec.edges:x}", "charge": str(max_charge)},
         {
-            "graphs_scanned": count_plane_graphs(ps),
+            "graphs_scanned": expected_degree_vector(ps).pg,
             "max_charge": max_charge,
             "cap": cap,
             "potential_monotonicity": True,
@@ -307,22 +319,14 @@ def verify_zero_ving_recurrence(ps: PointSet) -> list[VerificationReport]:
     # pg >= (n / vhat_0) * min_q pg(P minus q)  <=>  ving_0 >= n * min_q
     n_min_drop = n * min(drop_counts, default=0)
     return [
-        _verdict(
-            "zero_ving_identity", desc, total_zero == rhs_general,
-            Fraction(total_zero - rhs_general), {"lhs": str(total_zero), "rhs": str(rhs_general)},
-            {"lhs": total_zero, "rhs": rhs_general},
+        _compare("zero_ving_identity", desc, total_zero == rhs_general, total_zero, rhs_general),
+        _compare(
+            "zero_ving_identity_internal", desc, internal_zero == rhs_internal, internal_zero,
+            rhs_internal, {"lhs": internal_zero, "rhs": rhs_internal, "internal_points": internal},
         ),
-        _verdict(
-            "zero_ving_identity_internal", desc, internal_zero == rhs_internal,
-            Fraction(internal_zero - rhs_internal),
-            {"lhs": str(internal_zero), "rhs": str(rhs_internal)},
-            {"lhs": internal_zero, "rhs": rhs_internal, "internal_points": internal},
-        ),
-        _verdict(
-            "zero_ving_growth_consequence", desc, total_zero >= n_min_drop,
-            Fraction(total_zero - n_min_drop),
-            {"zero_vings": str(total_zero), "n_times_min_drop": str(n_min_drop)},
-            {"zero_vings": total_zero, "n_times_min_drop": n_min_drop},
+        _compare(
+            "zero_ving_growth_consequence", desc, total_zero >= n_min_drop, total_zero,
+            n_min_drop, names=("zero_vings", "n_times_min_drop"),
         ),
     ]
 
@@ -337,9 +341,8 @@ def verify_product_law(n: int) -> VerificationReport:
     lhs = count_plane_graphs(ps)
     chain_count = count_plane_graphs(gen_convex_chain(n - 1))
     rhs = (1 << (n - 1)) * chain_count
-    return _verdict(
-        "cap_apex_product_law", _descriptor(ps), lhs == rhs, Fraction(lhs - rhs),
-        {"lhs": str(lhs), "rhs": str(rhs)},
+    return _compare(
+        "cap_apex_product_law", _descriptor(ps), lhs == rhs, lhs, rhs,
         {"pg": lhs, "chain_count": chain_count, "free_choices": n - 1},
     )
 
@@ -352,7 +355,8 @@ def verify_product_law(n: int) -> VerificationReport:
 def _sweep(claim: str, steps, details: dict) -> VerificationReport:
     """One report for a sweep whose `steps` yield (margin, witness or None),
     the witness built only on a failing step: the smallest margin and the
-    first witness."""
+    first witness.  A step may yield no margin (None), but only before the
+    first real one."""
     margin = witness = None
     for step_margin, step_witness in steps:
         if margin is None or step_margin < margin:
@@ -401,38 +405,26 @@ def harmonic_gap_sweep(i_max: int) -> VerificationReport:
     return _sweep("harmonic_gap_ln2", steps(), {"i_max": i_max})
 
 
-def _robbins_margins(
-    m: int, lnm: tuple[Fraction, Fraction], lnfact: tuple[Fraction, Fraction]
-) -> tuple[Fraction, Fraction]:
-    """Certified margins of both Robbins inequalities, from enclosures of ln m and ln m!.
-
-    Returns (ln m! - upper end of the lower bound,
-             lower end of the upper bound - ln m!); both must be positive.
-    The bounds are ln sqrt(2 pi m) + m ln m - m + 1/(12m+1) resp. + 1/(12m).
-    """
-    pi_lo, pi_hi = pi_interval()
-    tpm_lo = log_interval(Fraction(2 * m) * pi_lo)[0]
-    tpm_hi = log_interval(Fraction(2 * m) * pi_hi)[1]
-    lnm_lo, lnm_hi = lnm
-    base_lo = tpm_lo / 2 + m * lnm_lo - m
-    base_hi = tpm_hi / 2 + m * lnm_hi - m
-    lower_hi = base_hi + Fraction(1, 12 * m + 1)
-    upper_lo = base_lo + Fraction(1, 12 * m)
-    lf_lo, lf_hi = lnfact
-    return lf_lo - lower_hi, upper_lo - lf_hi
-
-
 def stirling_sweep(m_max: int) -> VerificationReport:
-    """Robbins bounds for every m <= m_max, with an incremental ln m! enclosure."""
+    """Robbins bounds for every m <= m_max, with an incremental ln m! enclosure.
+
+    The bounds are ln sqrt(2 pi m) + m ln m - m + 1/(12m+1) resp. + 1/(12m).
+    A step's margin is the smaller of ln m! minus the upper end of the lower
+    bound and the lower end of the upper bound minus ln m!; both must be
+    positive.
+    """
 
     def steps():
+        pi_lo, pi_hi = pi_interval()
         lf_lo = lf_hi = Fraction(0)
         for m in range(1, m_max + 1):
-            lnm = log_interval(m)
+            ln_lo, ln_hi = log_interval(m)
             if m > 1:
-                lf_lo += lnm[0]
-                lf_hi += lnm[1]
-            margin = min(_robbins_margins(m, lnm, (lf_lo, lf_hi)))
+                lf_lo += ln_lo
+                lf_hi += ln_hi
+            lower_hi = log_interval(2 * m * pi_hi)[1] / 2 + m * ln_hi - m + Fraction(1, 12 * m + 1)
+            upper_lo = log_interval(2 * m * pi_lo)[0] / 2 + m * ln_lo - m + Fraction(1, 12 * m)
+            margin = min(lf_lo - lower_hi, upper_lo - lf_hi)
             yield margin, ({"m": m} if margin <= 0 else None)
 
     return _sweep("stirling_robbins_bounds", steps(), {"m_max": m_max})
@@ -441,36 +433,35 @@ def stirling_sweep(m_max: int) -> VerificationReport:
 def central_binomial_sweep(i_max: int) -> VerificationReport:
     """C(2i, i)/4^i < 1/sqrt(pi i) for every i <= i_max, by exact integers.
 
-    Squared form: C^2 * i * pi_hi_num < pi_hi_den * 2^(4i).
+    Squared form: C^2 * i * pi_hi_num < pi_hi_den * 2^(4i).  The relative
+    margin falls with i, so it is reported at i_max alone.
     """
-    pn, pd = PI_HI.numerator, PI_HI.denominator
-    c = 1
-    witness = None
-    last_margin = None
-    for i in range(1, i_max + 1):
-        c = c * 2 * (2 * i - 1) // i
-        lhs = c * c * pn * i
-        rhs = pd << (4 * i)
-        if lhs >= rhs and witness is None:
-            witness = {"i": i}
-        if i == i_max:
-            last_margin = Fraction(rhs - lhs, rhs)
-    return _verdict(
-        "central_binomial_bound", "-", witness is None, last_margin, witness,
-        {"i_max": i_max, "margin_domain": "squared, relative, at i_max"},
-    )
+
+    def steps():
+        pn, pd = PI_HI.numerator, PI_HI.denominator
+        c = 1
+        for i in range(1, i_max + 1):
+            c = c * 2 * (2 * i - 1) // i
+            lhs = c * c * pn * i
+            rhs = pd << (4 * i)
+            margin = Fraction(rhs - lhs, rhs) if i == i_max else None
+            yield margin, ({"i": i} if lhs >= rhs else None)
+
+    details = {"i_max": i_max, "margin_domain": "squared, relative, at i_max"}
+    return _sweep("central_binomial_bound", steps(), details)
 
 
 def ving_charge_argmax_sweep(i_max: int) -> VerificationReport:
     """The per-ving charge profile peaks exactly on the plateau {2i-1, 2i}."""
-    witness = None
-    for i in range(1, i_max + 1):
-        try:
-            max_family_charge(i)
-        except AssertionError as exc:
-            witness = {"i": i, "error": str(exc)}
-            break
-    return _verdict("ving_charge_argmax", "-", witness is None, None, witness, {"i_max": i_max})
+
+    def steps():  # no margin; a step is yielded only where the profile fails
+        for i in range(1, i_max + 1):
+            try:
+                max_family_charge(i)
+            except AssertionError as exc:
+                yield None, {"i": i, "error": str(exc)}
+
+    return _sweep("ving_charge_argmax", steps(), {"i_max": i_max})
 
 
 # ---------------------------------------------------------------------------

@@ -204,23 +204,6 @@ def count_plane_graphs_bruteforce(ps: PointSet) -> int:
     return count
 
 
-def brute_degree_data(ps: PointSet) -> tuple[int, list[int]]:
-    """(pg, ving_counts) by visiting every graph and tallying degrees."""
-    table, _ = structures(ps)
-    inc = table.incident_masks
-    n = ps.n
-    ving = [0] * n
-    graphs = [0]
-
-    def visit(edges):
-        graphs[0] += 1
-        for p in range(n):
-            ving[(edges & inc[p]).bit_count()] += 1
-
-    enumerate_plane_graphs(ps, visit)
-    return graphs[0], ving
-
-
 def brute_degree_rows(ps: PointSet) -> tuple[tuple[int, ...], ...]:
     """rows[p][d] = number of graphs in which p has degree d, by visiting
     every graph and tallying the popcount of its edges at each point."""

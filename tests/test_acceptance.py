@@ -227,6 +227,10 @@ def test_c10_per_graph_charge_cap_and_monotonicity():
             assert report.status == HOLDS, spec
             assert report.details["potential_monotonicity"] is True, spec
             assert report.details["max_charge"] <= Fraction(11 * ps.n - 6, 112), spec
+            # the histogram's charge against the charge read off blocked masks
+            records = enumerate_triangulations(ps).records
+            charges = [graph_charge_v0(ps, r.edges) for r in records]
+            assert report.details["max_charge"] == max(charges), spec
 
 
 def test_c11_lp_optimum_matches_grid_oracle():

@@ -9,7 +9,8 @@ coordinates.  The oracle never reads the crossing bit-vectors, which feed
 both `visibility` and the verifiers.  The verifiers that read
 expected-degree statistics are fed a tampered `DegreeExpectation`, the
 product law a miscounted pg, and each analytic sweep a perturbed enclosure
-or bound.
+or bound.  Every violated report is pinned by the sha256 of the bytes
+`verify` writes for it, so a witness, margin or detail that moves fails.
 
 The verifiers read their answers off the counting DP and the
 triangulations; a walk over every plane graph of three 5-point sets is the
@@ -18,6 +19,7 @@ exhaustive oracle for those answers.
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -43,6 +45,7 @@ from planegraphs import (
     verify_zero_ving_recurrence,
     visibility,
 )
+from planegraphs.reports import dumps_json
 from planegraphs.verify import (
     HOLDS,
     NOT_APPLICABLE,
@@ -55,6 +58,12 @@ from planegraphs.verify import (
 )
 
 from conftest import potential, segments_cross_oracle
+
+
+def report_sha256(reports) -> str:
+    """The sha256 of the reports as `verify` writes them, without the envelope."""
+    text = dumps_json({"reports": [r._asdict() for r in reports]})
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def decode(edges: int, n: int) -> list[tuple[int, int]]:
@@ -101,6 +110,9 @@ def test_visibility_lemma_violation_replays(forced_hull):
     report = verify_visibility_lemma(ps)
     assert report.status == VIOLATED
     assert report.witness == {"graph": "40", "point": 0, "visibility": 2}
+    assert report_sha256([report]) == (
+        "5ac44988404bc369becb664d34270b1ff1240a6df2ecdf988a1486fe72f43a20"
+    )
     edges = decode(int(report.witness["graph"], 16), ps.n)
     p = report.witness["point"]
     assert oracle_plane(ps, edges)
@@ -113,6 +125,9 @@ def test_graph_charge_cap_violation_replays(forced_hull):
     report = verify_graph_charge_cap(ps)
     assert report.status == VIOLATED
     assert report.witness["charge"] == "13/16"
+    assert report_sha256([report]) == (
+        "f9badadfbbb960ad7b6ddd83a588b7a9c17bc092f35738730eb680531862ba32"
+    )
     edges = decode(int(report.witness["graph"], 16), ps.n)
     assert oracle_plane(ps, edges)
     charge = sum(
@@ -128,6 +143,9 @@ def test_triangulation_degree_lemmas_violation_replays(monkeypatch):
     ps = gen_convex_chain(8)
     reports = verify_triangulation_degree_lemmas(ps)
     assert [r.status for r in reports] == [VIOLATED] * 3
+    assert report_sha256(reports) == (
+        "6febe2902c20b46ded5d7d4ec84da31c03f525ac376e55d2b5e2739fa82ac0d3"
+    )
     for report in reports:
         assert report.witness["graph"] == "a4420ff"
         assert report.witness["v3"] == 5
@@ -185,6 +203,9 @@ def _tampered_reports(monkeypatch, tamper) -> dict:
 
 def test_degree_statistic_verifiers_flag_a_tampered_expectation(monkeypatch):
     reports = _tampered_reports(monkeypatch, _inflated)
+    assert report_sha256(reports.values()) == (
+        "53be94195d03eb3bfbd59970e9dd22df3ed83b88bc258ca7119a31b72ff173ee"
+    )
     for claim in ("v0_upper", "vi_upper:i=1", "prior_v2_lower", "prior_v2v3_lower",
                   "zero_ving_identity"):
         assert reports[claim].status == VIOLATED, claim
@@ -193,6 +214,9 @@ def test_degree_statistic_verifiers_flag_a_tampered_expectation(monkeypatch):
 
 def test_degree_statistic_verifiers_flag_a_deflated_expectation(monkeypatch):
     reports = _tampered_reports(monkeypatch, _deflated)
+    assert report_sha256(reports.values()) == (
+        "341e928ecdf1b303218fd6da226470e35829c4013bbe3ee1d14bbd9768dc4a13"
+    )
     for claim in ("prior_v0_lower", "prior_v1_lower", "zero_ving_identity_internal",
                   "zero_ving_growth_consequence"):
         assert reports[claim].status == VIOLATED, claim
@@ -200,11 +224,30 @@ def test_degree_statistic_verifiers_flag_a_deflated_expectation(monkeypatch):
     assert reports["zero_ving_identity_internal"].witness == {"lhs": "0", "rhs": "2304"}
 
 
+@pytest.mark.parametrize(
+    "claim, degree, value, status",
+    [
+        ("v0_upper", 0, Fraction(11 * 6, 112), VIOLATED),  # vhat0 < 11n/112, strictly
+        ("prior_v0_lower", 0, Fraction(6, 3207), VIOLATED),  # vhat0 > n/3207, strictly
+        ("prior_v1_lower", 1, Fraction(3 * 6, 1024), HOLDS),  # vhat1 >= 3n/1024
+    ],
+)
+def test_bounds_at_equality_follow_their_strictness(monkeypatch, claim, degree, value, status):
+    def at_bound(dv: DegreeExpectation, n: int) -> DegreeExpectation:
+        return dv._replace(vhat=dv.vhat[:degree] + (value,) + dv.vhat[degree + 1:])
+
+    report = _tampered_reports(monkeypatch, at_bound)[claim]
+    assert (report.status, report.margin) == (status, 0)
+
+
 def test_product_law_flags_a_miscount(monkeypatch):
     count = verify_mod.count_plane_graphs
     monkeypatch.setattr(verify_mod, "count_plane_graphs", lambda ps: count(ps) + (ps.n == 6))
     report = verify_product_law(6)
     assert report.status == VIOLATED
+    assert report_sha256([report]) == (
+        "492e1c10f4ef8faa23bf39f3fb60855887ae0db9fa1b8fc75e1087f478c7b28c"
+    )
     assert report.witness == {"lhs": "11265", "rhs": "11264"}
 
 
@@ -217,6 +260,9 @@ def test_harmonic_residual_flags_a_shifted_gamma(monkeypatch):
     monkeypatch.setattr(verify_mod, "GAMMA", (lo - 1, hi - 1))
     report = harmonic_residual_sweep(10)
     assert report.status == VIOLATED
+    assert report_sha256([report]) == (
+        "39df4cb034059b665d61fb3249f206bacfe9d4acd9818c0513a26dcd4d9c5d59"
+    )
     assert report.witness["m"] == 1
     assert report.margin < 0
 
@@ -227,6 +273,9 @@ def test_harmonic_gap_flags_ln2_at_one_half(monkeypatch):
     monkeypatch.setattr(verify_mod, "ln2_interval", lambda: (half, half))
     report = harmonic_gap_sweep(10)
     assert report.status == VIOLATED
+    assert report_sha256([report]) == (
+        "20e7d07f98b7cafab6839074619da397996a84c29c64c82be3f1aec1f70d77c8"
+    )
     assert report.witness == {"i": 1, "gap_hi": "1/2"}
 
 
@@ -235,6 +284,9 @@ def test_stirling_flags_pi_at_four(monkeypatch):
     monkeypatch.setattr(verify_mod, "pi_interval", lambda: (four, four))
     report = stirling_sweep(10)
     assert report.status == VIOLATED
+    assert report_sha256([report]) == (
+        "1f967bcead6fd1cc7f0f20af3589119827cd0520554b83b4368036746dcf43ef"
+    )
     assert report.witness == {"m": 1}
 
 
@@ -243,20 +295,27 @@ def test_central_binomial_flags_pi_hi_at_four(monkeypatch):
     monkeypatch.setattr(verify_mod, "PI_HI", Fraction(4))
     report = central_binomial_sweep(10)
     assert report.status == VIOLATED
+    assert report_sha256([report]) == (
+        "8bcb062de138c9fccb98bb5798142202d0225dbfa56d6a54dc02acc17692c604"
+    )
     assert report.witness == {"i": 1}
 
 
 def test_charge_argmax_flags_a_failing_profile(monkeypatch):
+    # the profile fails at i = 3 and i = 4; the witness is the first failure
     real = verify_mod.max_family_charge
 
     def broken(i):
-        if i == 3:
-            raise AssertionError("unexpected charge maximum for i=3: [4]")
+        if i in (3, 4):
+            raise AssertionError(f"unexpected charge maximum for i={i}: [{i + 1}]")
         return real(i)
 
     monkeypatch.setattr(verify_mod, "max_family_charge", broken)
     report = ving_charge_argmax_sweep(5)
     assert report.status == VIOLATED
+    assert report_sha256([report]) == (
+        "e43d6083a2786c7aa48f1e6b18a14aa3f2e35c32bf243a0c931cb51f996a86de"
+    )
     assert report.witness == {"i": 3, "error": "unexpected charge maximum for i=3: [4]"}
 
 

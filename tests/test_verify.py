@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -19,6 +20,7 @@ from planegraphs import (
     verify_zero_ving_recurrence,
 )
 from planegraphs import verify
+from planegraphs.certified import PI_HI
 from planegraphs.verify import (
     HOLDS,
     NOT_APPLICABLE,
@@ -131,9 +133,12 @@ class TestTriangulationDegreeLemmas:
             return stats_cls(**fields)
 
         monkeypatch.setattr(enumeration_mod, "TriangulationStats", counted)
+        counts = []
+        monkeypatch.setattr(verify, "count_plane_graphs", lambda ps: counts.append(ps))
         reports = run_claims(gen_cap_with_apex(6), ["triangulation_degrees", "charge_cap"])
         assert [r.status for r in reports] == [HOLDS] * 4
         assert len(walks) == 1
+        assert counts == []  # pg comes from the degree pass, not a count of its own
 
 
 class TestGraphChargeCap:
@@ -209,6 +214,15 @@ class TestAnalytic:
 
     def test_central_binomial(self):
         assert central_binomial_sweep(500).status == HOLDS
+
+    @pytest.mark.parametrize("i_max", [1, 2, 10, 200])
+    def test_central_binomial_margin_is_taken_at_i_max(self, i_max):
+        # the relative squared margin 1 - C(2i, i)^2 i pi_hi / 16^i at i = i_max
+        margin = central_binomial_sweep(i_max).margin
+        assert margin == 1 - comb(2 * i_max, i_max) ** 2 * i_max * PI_HI / 16**i_max
+        if i_max >= 2:
+            # it falls with i, so the margin at i_max is the sweep's smallest
+            assert margin < central_binomial_sweep(i_max - 1).margin
 
     def test_charge_argmax(self):
         assert ving_charge_argmax_sweep(16).status == HOLDS
