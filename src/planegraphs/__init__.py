@@ -13,15 +13,15 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "geometry": (
-        "COORD_LIMIT", "GeneralPositionError", "PointSet", "PtsFormatError", "convex_hull",
-        "is_triangular_hull", "load_pts", "orientation", "parse_pts", "save_pts",
+        "COORD_LIMIT", "GeneralPositionError", "PointSet", "PtsFormatError", "SelfCheckError",
+        "convex_hull", "is_triangular_hull", "load_pts", "orientation", "parse_pts", "save_pts",
     ),
     "crossings": (
         "CrossingSets", "SEGMENT_INDEXING", "SegmentTable", "build_crossing_sets",
         "build_segment_table",
     ),
     "enumeration": (
-        "DegreeExpectation", "EnumerationLimitError", "SelfCheckError", "TriangulationRecord",
+        "DegreeExpectation", "EnumerationLimitError", "TriangulationRecord",
         "TriangulationStats", "count_plane_graphs", "enumerate_plane_graphs",
         "enumerate_triangulations", "expected_degree_vector", "is_triangulation",
     ),

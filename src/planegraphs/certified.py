@@ -34,7 +34,7 @@ GAMMA: Interval = (
 
 @cache
 def _mpmath():
-    """mpmath's interval context, set to 60 digits, and its libmp backend."""
+    """mpmath's interval context, at the working precision, and its libmp backend."""
     import mpmath
     import mpmath.libmp
 
@@ -67,8 +67,7 @@ def pi_interval() -> Interval:
 
 
 def ln2_interval() -> Interval:
-    iv = _mpmath()[0]
-    return _to_interval(iv.log(iv.mpf(2)))
+    return log_interval(2)
 
 
 def harmonic_interval(m: int, shift: int = 220) -> Interval:

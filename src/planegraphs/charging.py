@@ -14,8 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .enumeration import SelfCheckError, expected_degree_vector, workspace
-from .geometry import PointSet
+from .enumeration import expected_degree_vector, workspace
+from .geometry import PointSet, SelfCheckError
 
 
 def visibility(ps: PointSet, edges: int, p: int) -> int:

@@ -4,8 +4,9 @@ Subcommands: validate, count, degrees, triangulations, charge-audit, verify,
 gen, construction-report.  Exit status 0 on success, 1 when an applicable
 verified claim is violated, 2 on usage or validation errors, on paths that
 cannot be read or written, and on inputs too large to finish (memory
-exhausted), 3 when an internal self-check fails (a fault of the program,
-named on stderr).  Reports are byte-identical across runs.
+exhausted), 3 when an internal self-check fails with a
+:class:`~planegraphs.geometry.SelfCheckError` (a fault of the program, named
+on stderr); any other error propagates.  Reports are byte-identical across runs.
 
 The point-count cap is a property of the input, and this module alone
 knows it: `--max-n`, ``DEFAULT_MAX_N`` unless given.  It is checked once, on
@@ -35,7 +36,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .geometry import GeneralPositionError, PointSet, load_pts
+from .geometry import GeneralPositionError, PointSet, SelfCheckError, load_pts
 
 DEFAULT_MAX_N = 12
 
@@ -184,13 +185,13 @@ def cmd_charge_audit(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .verify import run_claims
+    from .verify import VIOLATED, run_claims
 
     ps = _load(args)
     claims = args.claims.split(",") if args.claims is not None else None
     reports = run_claims(ps, claims)
     _report(args, "verify", ps, lambda: {"reports": [r._asdict() for r in reports]}, None)
-    return 1 if any(r.status == "violated" for r in reports) else 0
+    return 1 if any(r.status == VIOLATED for r in reports) else 0
 
 
 def cmd_gen(args) -> int:
@@ -301,11 +302,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:  # bad input, a refused cap, or a path that fails
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
-        from .enumeration import SelfCheckError  # loaded already by any code that raises it
-
-        if not isinstance(exc, SelfCheckError):
-            raise
+    except SelfCheckError as exc:
         print(f"error: self-check failed: {exc}", file=sys.stderr)  # a fault of the program
         return 3
     sys.stderr.write(too_large)

@@ -18,8 +18,8 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .crossings import crossed
-from .enumeration import SelfCheckError, count_plane_graphs, expected_degree_vector
-from .geometry import COORD_LIMIT, PointSet, convex_hull, orientation
+from .enumeration import count_plane_graphs, expected_degree_vector
+from .geometry import COORD_LIMIT, PointSet, SelfCheckError, convex_hull, orientation
 
 
 class ConstructionSpec(NamedTuple):

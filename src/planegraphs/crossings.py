@@ -30,7 +30,6 @@ SEGMENT_INDEXING = "lexicographic (i,j) pairs with i<j; bit k of edge masks = se
 class SegmentTable(NamedTuple):
     """All candidate segments of a point set, with their incidences."""
 
-    n: int
     segments: tuple[tuple[int, int], ...]
     incident_masks: tuple[int, ...]      # per point: mask of incident segments
 
@@ -60,7 +59,7 @@ def build_segment_table(ps: PointSet) -> SegmentTable:
     for k, (i, j) in enumerate(segments):
         incident[i] |= 1 << k
         incident[j] |= 1 << k
-    return SegmentTable(n=n, segments=segments, incident_masks=tuple(incident))
+    return SegmentTable(segments=segments, incident_masks=tuple(incident))
 
 
 def build_crossing_sets(ps: PointSet, segments: Sequence[tuple[int, int]]) -> CrossingSets:

@@ -2,63 +2,30 @@
 
 A plane graph of a point set P is exactly an independent set of the segment
 crossing relation, so everything here is independent-set machinery over the
-conflict bit-vectors of :mod:`planegraphs.crossings`:
+conflict bit-vectors of :mod:`planegraphs.crossings`.  A plane graph is its
+edge mask everywhere in the package: an int whose bit k is segment k,
+written ``f"{edges:x}"`` in reports.  Every walk here keeps an explicit
+stack, so nothing recurses.
 
-* ``_Workspace.independent_sets`` is a generator over every crossing-free
-  subset in lexicographic order: a depth-first skip / choose branch over
-  segment indices on an explicit stack, so it never recurses.  It yields
-  ``(edges, blocked)``, where ``blocked`` is the OR of the crossing masks of
-  the chosen edges: the segments that cross some edge of the graph.  Since
-  the graph is crossing-free, ``edges & blocked == 0``, and the potential of
-  a point p is ``popcount(inc[p] & ~blocked)``.  The charge audit loops over
-  it, and the visibility verifier returns its first witness from it;
-  ``enumerate_plane_graphs`` is the public form that hands each edge mask
-  to a visitor.  A plane graph is its edge mask everywhere in the package:
-  an int whose bit k is segment k, written ``f"{edges:x}"`` in reports.
+* ``_Workspace.independent_sets`` yields every crossing-free subset of a
+  universe with its blocked mask, the segments that cross some edge of the
+  graph; the potential of a point p is ``popcount(inc[p] & ~blocked)``.  The
+  charge audit and the visibility verifier loop over it, and
+  ``enumerate_plane_graphs`` hands each edge mask to a visitor.
 
 * ``enumerate_triangulations`` lists the maximal independent sets, which
-  are the triangulations, with the pivot rule of Bron-Kerbosch as analysed
-  by Tomita, Tanaka and Takahashi (TCS 2006), on an explicit stack.  Each
-  node branches only on the candidates that lie in the smallest set
-  ``cand & (cross[u] | u)``: any maximal set below the node holds u or a
-  segment crossing u.  On random 12-point sets this visits 35k-49k nodes,
-  where a recursive skip/choose branch in index order made 0.7M-1.7M calls.
-  The search tree is at most m deep, but the walk never recurses.
+  are the triangulations, by the pivoted Bron-Kerbosch search of Tomita,
+  Tanaka and Takahashi (TCS 2006).  On random 12-point sets it visits
+  35k-49k nodes.
 
-* ``count_plane_graphs`` / ``expected_degree_vector`` never materialize
-  graphs.  They fold over one walk of the component graph on one fixed
-  segment order.  One splitter, ``_Workspace._split``, cuts a mask into the
-  connected components of the conflict graph, and stops once every segment
-  is reached.  Components multiply; a lone segment is a factor 2, and any
-  other branches on its first segment in the order, without it and with it.
-  ``_Workspace._walk`` visits each component that the branches reach once,
-  children first, on an explicit stack, so nothing here recurses.  A fixed
-  order makes the leftover components of different branches the same
-  masks, so the branches share them.  The walk's masks are over the
-  segments in that order, and their crossing rows come from one crossing
-  pass over the reordered segments.  The order depends on the input.
-  When more than half of the points are hull vertices, the segments
-  go by a sweep around one hull vertex: by the sweep position of the
-  earlier endpoint, then of the later one, farthest first, from geometry
-  alone.  The segments at one point (a star) never cross, and a chord
-  between hull vertices separates, so the branches through a star leave
-  the polygon minus one vertex, a leftover that recurs.  convex_chain(20)
-  ends with 969 components, where descending crossing count leaves 7,104
-  and a pivot chosen afresh in each component 50,734.  Every other set, a
-  triangular hull included, keeps descending crossing count: on
-  triangular_hull_random(16, seed=1) the sweep would leave 7,705
-  components, not 1,803.  Counting runs serially and keeps each
-  component's count in the workspace's memo.  Degree statistics and their
-  pg come from a second fold over the same walk, which fills no count
-  memo.  For a component C it keeps, for each point p, p's degree
-  polynomial over C, sum_d c_d x^d with c_d the independent sets of C that
-  hold d segments at p, until the last branch that uses C.  A point that
-  touches no segment of C takes the plain count of C, and one such extra
-  point carries pg out of the pass; components multiply point by point; a
-  lone segment contributes (1 + x) at its endpoints and 2 elsewhere; and
-  the branch on a segment (a, b) adds x times its "with" branch at a and
-  b.  Each polynomial is packed into one integer at x = 2^(m+1), whose
-  digits are p's degree row.
+* ``count_plane_graphs`` and ``expected_degree_vector`` never materialize
+  graphs.  They fold over one walk of the components of the conflict
+  graph, branching on one fixed segment order chosen from the input's
+  geometry (``_Workspace._order_key``), so the leftover components of
+  different branches are the same masks and the branches share them.  The
+  count fold keeps each component's count in the workspace's memo; the
+  degree fold keeps each point's degree polynomial over a component, packed
+  into one integer, and fills no count memo.
 
 All aggregates are exact big integers / rationals, so results are
 bit-identical across runs.  Nothing here caps the point count: the CLI
@@ -73,7 +40,7 @@ from operator import add, mul
 from typing import TYPE_CHECKING, Callable, Container, Iterator, NamedTuple
 
 from .crossings import build_crossing_sets, structures
-from .geometry import PointSet, convex_hull
+from .geometry import PointSet, SelfCheckError, convex_hull
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -83,11 +50,6 @@ _Split = tuple[list[int], int]  # a mask's components of two or more segments, a
 
 class EnumerationLimitError(RuntimeError):
     """Refusal of a point set above a point-count cap."""
-
-
-class SelfCheckError(RuntimeError):
-    """A failed internal consistency check: a fault of the program, never a
-    refuted claim."""
 
 
 class DegreeExpectation(NamedTuple):
@@ -138,9 +100,14 @@ class _Workspace:
         endpoints around the hull vertex v, the earlier one first, then the
         later one, farthest first.  A point a != v sits at the number of
         points left of a -> v, distinct for every a since all lie in the
-        hull angle at v; v comes first."""
+        hull angle at v; v comes first.  The segments at one point (a star)
+        never cross, and a chord between hull vertices separates, so the
+        branches through a star leave the polygon minus one vertex, a
+        leftover that recurs.  A triangular hull keeps descending crossing
+        count: on triangular_hull_random(16, seed=1) the sweep would leave
+        7,705 components, not 1,803."""
         ps, cross = self.ps, self.cross
-        hull = convex_hull(ps) if ps.n >= 3 else ()
+        hull = convex_hull(ps)
         if 2 * len(hull) <= ps.n:
             return lambda k: -cross[k].bit_count()
         v = hull[0]
@@ -207,11 +174,7 @@ class _Workspace:
         """Number of independent sets of ``self.full``: the plane graphs.
 
         Bit r stands for segment ``ends[r]``, with the segments sorted by
-        :meth:`_order_key`, ties by index.  On a set with more than half of
-        its points on the hull, the lowest bit of a mask is its segment whose
-        earlier endpoint comes first in a sweep around a hull vertex, the
-        one with the farthest later endpoint among those; elsewhere it is
-        the segment with the most crossings.  The components of a split
+        :meth:`_order_key`, ties by index.  The components of a split
         multiply, and a lone segment is a factor 2.  Each component of
         :meth:`_walk` counts its branches on its lowest bit, without it and
         with it, into the shared ``self.memo``: 969 of them on
@@ -273,7 +236,7 @@ class _Workspace:
                 factor = polys[comp] if uses[comp] else polys.pop(comp)
                 result = factor if result is None else list(map(mul, result, factor))
             if result is None:
-                result = [1] * (self.table.n + 1)
+                result = [1] * (self.ps.n + 1)
             if lone:
                 result = [u << lone.bit_count() for u in result]
                 while lone:

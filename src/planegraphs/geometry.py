@@ -16,6 +16,11 @@ as ``ps.ccw``, one bit-vector per ordered pair, which the crossing table and
 :func:`convex_hull` read.  :func:`orientation` (the sign -1, 0 or 1) is the
 one predicate on points one at a time, for the random generator and tests;
 which segments cross is decided in :mod:`planegraphs.crossings` alone.
+
+The error classes live here, in the module every other one imports: the
+input errors :class:`GeneralPositionError` and :class:`PtsFormatError` (both
+``ValueError``), and :class:`SelfCheckError`, the fault class, raised by any
+module whose internal consistency check fails.
 """
 
 from __future__ import annotations
@@ -42,6 +47,11 @@ class GeneralPositionError(ValueError):
 
 class PtsFormatError(ValueError):
     """Raised for malformed ``.pts`` input."""
+
+
+class SelfCheckError(RuntimeError):
+    """A failed internal consistency check: a fault of the program, never a
+    refuted claim."""
 
 
 class PointSet:
@@ -164,11 +174,12 @@ def convex_hull(ps: PointSet) -> tuple[int, ...]:
     """Hull vertex labels in CCW order, from the leftmost point (lowest on a tie).
 
     Read off ``ps.ccw``: the next vertex after i is the j with every other
-    point to the left of i -> j.
+    point to the left of i -> j.  Below three points every label is a hull
+    vertex, and the labels come leftmost first.
     """
     n = ps.n
     if n < 3:
-        raise ValueError("convex hull requires at least 3 points")
+        return tuple(sorted(range(n), key=ps.points.__getitem__))
     everyone = (1 << n) - 1
     start = i = min(range(n), key=ps.points.__getitem__)
     hull = []
@@ -181,7 +192,7 @@ def convex_hull(ps: PointSet) -> tuple[int, ...]:
 
 
 def is_triangular_hull(ps: PointSet) -> bool:
-    return ps.n >= 3 and len(convex_hull(ps)) == 3
+    return len(convex_hull(ps)) == 3
 
 
 def parse_pts(text: str, check_count: Callable[[int], None] | None = None) -> PointSet:

@@ -41,16 +41,15 @@ from .certified import (
     log_interval,
     pi_interval,
 )
-from .charging import census_from_degree_row, lp_charge_cap, max_family_charge
+from .charging import census_from_degree_row, lp_charge_cap, max_family_charge, visibility
 from .constructions import gen_cap_with_apex, gen_convex_chain
 from .enumeration import (
-    SelfCheckError,
     count_plane_graphs,
     enumerate_triangulations,
     expected_degree_vector,
     workspace,
 )
-from .geometry import PointSet, convex_hull, is_triangular_hull
+from .geometry import PointSet, SelfCheckError, convex_hull, is_triangular_hull
 
 HARMONIC_SHIFT = 220  # fixed-point bits of the harmonic-sum enclosures
 
@@ -69,7 +68,7 @@ class VerificationReport(NamedTuple):
 
 
 def _descriptor(ps: PointSet) -> str:
-    hull = len(convex_hull(ps)) if ps.n >= 3 else ps.n
+    hull = len(convex_hull(ps))
     return f"n={ps.n} hull={hull} sha256={ps.sha256()[:12]}"
 
 
@@ -219,9 +218,8 @@ def _visibility_witness(ps: PointSet, censuses: list[dict[int, int]], j: int) ->
     lowest-labelled point whose census has a family of visibility j."""
     p = next(p for p, census in enumerate(censuses) if j in census)
     ws = workspace(ps)
-    inc = ws.table.incident_masks[p]
-    for edges, blocked in ws.independent_sets(ws.full & ~inc):
-        if (inc & ~blocked).bit_count() == j:
+    for edges, _ in ws.independent_sets(ws.full & ~ws.table.incident_masks[p]):
+        if visibility(ps, edges, p) == j:
             return {"graph": f"{edges:x}", "point": p, "visibility": j}
     raise SelfCheckError(f"point {p} has no family root of visibility {j}")
 
@@ -261,7 +259,7 @@ def verify_triangulation_degree_lemmas(ps: PointSet) -> list[VerificationReport]
 
 
 def verify_graph_charge_cap(ps: PointSet) -> VerificationReport:
-    """Per-graph charge cap (11n-6)/112: sum_p 2^-pt(p, G) <= cap for every G.
+    """Per-graph charge cap: sum_p 2^-pt(p, G) <= cap for every G.
 
     The cap is :func:`~planegraphs.charging.lp_charge_cap`, the checked
     optimum of the degree-bound LP, whose domain n >= 5 is the claim's.
@@ -309,7 +307,7 @@ def verify_zero_ving_recurrence(ps: PointSet) -> list[VerificationReport]:
     desc = _descriptor(ps)
     dv = expected_degree_vector(ps)
     drop_counts = [count_plane_graphs(ps.drop(q)) for q in range(n)]
-    hull = set(convex_hull(ps)) if n >= 3 else set(range(n))
+    hull = set(convex_hull(ps))
     internal = [p for p in range(n) if p not in hull]
 
     total_zero = dv.ving_counts[0] if n else 0

@@ -227,6 +227,47 @@ class TestVerify:
         assert capsys.readouterr().out == "59113472\n"
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
+    # One and two points have no triangle: these digests pin the reports
+    # that read the convex hull of a set below three points.  `count` is
+    # pinned by its `--out` JSON; the others by stdout.
+    @pytest.mark.parametrize(
+        "text, argv, sha256",
+        [
+            ("1\n0 0\n", ("degrees",),
+             "b3c96b854a78d7c224cf42e1957839ee1faac0478d6cd8509924a018d0c21c46"),
+            ("1\n0 0\n", ("triangulations",),
+             "6d517e3aa55f9d06e0d6d6c1fc0e8e425601b3e943b38cb7e5bcfeee4bf7f0ac"),
+            ("1\n0 0\n", ("charge-audit",),
+             "cfd193bbcd5e46541fa8fd5e4db5a610524b55877da84c59d7b51f1ef9238b43"),
+            ("1\n0 0\n", ("verify",),
+             "66e1562970438c76649ccb058d14a305ca5feadd288eec48537f17dd777970d8"),
+            ("1\n0 0\n", ("count", "--out"),
+             "46af5e3bd1d3b4e87865cc8a4653a704d10f152c63c7be15a8b77f69c89851b9"),
+            ("2\n0 0\n1 3\n", ("degrees",),
+             "be55d51e815722ca8e902f5f8e62cd33dafd14385c37af602da5699dc006f01b"),
+            ("2\n0 0\n1 3\n", ("triangulations",),
+             "5688a3a581cfcafe8eb5eee38f5f260f884df18ad5cf42f3103279704b954636"),
+            ("2\n0 0\n1 3\n", ("charge-audit",),
+             "1f0693fc331c5863370180b4a51d00ed7ae46a06ccdc3d352f2fd85fa818da00"),
+            ("2\n0 0\n1 3\n", ("verify",),
+             "39942d6101e634b07918cf96e26be9755c4e3bb69aa6d8ede0b9e285569ca246"),
+            ("2\n0 0\n1 3\n", ("count", "--out"),
+             "2f4b25ae7016364dcee4219516925b9ea75fa1108b889b93b7b0374c73f22e51"),
+        ],
+        ids=["degrees1", "triangulations1", "audit1", "verify1", "count_out1",
+             "degrees2", "triangulations2", "audit2", "verify2", "count_out2"],
+    )
+    def test_small_set_report_bytes_pinned(self, text, argv, sha256, tmp_path, capsys):
+        pts, out = tmp_path / "in.pts", tmp_path / "count.json"
+        pts.write_text(text)
+        if argv[0] == "count":
+            assert run_cli("count", pts, "--out", out) == 0
+            report = out.read_bytes()
+        else:
+            assert run_cli(argv[0], pts) == 0
+            report = capsys.readouterr().out.encode()
+        assert hashlib.sha256(report).hexdigest() == sha256
+
 
 class TestEmptyPointSet:
     @pytest.fixture
@@ -366,6 +407,18 @@ def test_directory_is_a_usage_error(tri_file, tmp_path, capsys):
         assert "Traceback" not in captured.err, argv
         errors = captured.err.splitlines()
         assert len(errors) == 1 and errors[0].startswith("error: "), argv
+
+
+def test_other_runtime_errors_propagate(tri_file, capsys, monkeypatch):
+    # exit 3 is kept for a failed self-check; any other RuntimeError raised
+    # inside a command is a bug that must show as a traceback, not a code
+    def fail(ps):
+        raise RuntimeError("not a self-check")
+
+    monkeypatch.setattr(enumeration, "count_plane_graphs", fail)
+    with pytest.raises(RuntimeError, match="not a self-check"):
+        run_cli("count", tri_file)
+    assert capsys.readouterr().out == ""
 
 
 _OUT_REPORTS = [

@@ -327,6 +327,41 @@ class TestDegreeVector:
             expected_degree_vector(ps)
 
 
+def forced_count(ws, forced: list[int]) -> int:
+    """The plane graphs that hold the crossing-free segments at kernel places
+    `forced`, from the count fold: the count of the kernel mask minus those
+    segments and their crossers.  The memo is keyed by component masks, so
+    one workspace serves every universe."""
+    avail = ws.full
+    for r in forced:
+        avail &= ~(1 << r) & ~ws.rcross[r]
+    ws.root = ws._split(avail)
+    return ws._count()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: gen_triangular_hull_random(14, seed=1), lambda: gen_convex_chain(12),
+     lambda: gen_cap_with_apex(12)],
+    ids=["random14", "convex12", "cap_apex12"],
+)
+def test_degree_rows_meet_their_moment_identities(make):
+    # Two segments at p never cross, so the first two factorial moments of
+    # p's degree row count the graphs that hold a given segment at p, and a
+    # given pair of them: sum_d d row[d] = sum_{e at p} pg(e forced) and
+    # sum_d C(d, 2) row[d] = sum_{e < f at p} pg(e, f forced).  Brute force
+    # checks the rows only up to n = 9.
+    ps = make()
+    rows = expected_degree_vector(ps).per_point
+    ws = enumeration._Workspace(ps)  # its own: the root is replaced per query
+    for p, row in enumerate(rows):
+        star = [r for r, segment in enumerate(ws.ends) if p in segment]
+        singles = sum(forced_count(ws, [e]) for e in star)
+        pairs = sum(forced_count(ws, [e, f]) for k, e in enumerate(star) for f in star[k + 1:])
+        assert sum(d * c for d, c in enumerate(row)) == singles, p
+        assert sum(d * (d - 1) // 2 * c for d, c in enumerate(row)) == pairs, p
+
+
 @st.composite
 def sets_and_masks(draw):
     """A workspace of up to 10 points in general position (each drawn point

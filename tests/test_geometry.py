@@ -128,8 +128,11 @@ class TestConvexHull:
                 assert orientation(a, b, c) == 1
 
     def test_too_small(self):
-        with pytest.raises(ValueError):
-            convex_hull(PointSet.from_coords([(0, 0), (1, 0)]))
+        # below three points every label is a hull vertex, leftmost first
+        assert convex_hull(PointSet.from_coords([(0, 0), (1, 0)])) == (0, 1)
+        assert convex_hull(PointSet.from_coords([(1, 0), (0, 0)])) == (1, 0)
+        assert convex_hull(PointSet.from_coords([(5, 5)])) == (0,)
+        assert convex_hull(PointSet.from_coords([])) == ()
 
     def test_triangular_hull(self, triangle):
         assert is_triangular_hull(triangle)

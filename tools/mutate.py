@@ -10,7 +10,8 @@ mutant there and runs ``python -m pytest -x -q -p no:cacheprovider`` in it.
 It cannot run in the checkout: ``pyproject.toml`` puts ``src`` on pytest's
 path, which would import the unmutated sources.  The test file named after
 the mutated module runs first, then the rest in name order, so most mutants
-fail within seconds; a survivor runs the whole suite.
+fail within seconds; a survivor runs the whole suite.  ``tests/test_mutants.py``
+is left out: it checks this list against the unmutated sources.
 
 Mutants run one after another.  A mutant is killed when the suite fails.
 The results (killed or survived, the first failing test and the seconds
@@ -36,6 +37,8 @@ ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "perfbench", "pyproject.toml")
 PYTEST = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider")
 VERIFY = "src/planegraphs/verify.py"
+ENUMERATION = "src/planegraphs/enumeration.py"
+SYNC_TEST = "test_mutants.py"  # checks this list against the sources; not run on a mutant
 
 
 class Mutant(NamedTuple):
@@ -107,6 +110,63 @@ MUTANTS = [
         'yield None, {"i": i, "error": str(exc)}',
         "yield None, None",
     ),
+    Mutant(
+        "digit_one_bit_narrower", ENUMERATION,
+        "self.digit_bits = self.m + 1",
+        "self.digit_bits = self.m",
+    ),
+    Mutant(
+        "lone_segment_without_shift", ENUMERATION,
+        "result[p] = (result[p] >> 1) * x1",
+        "result[p] = result[p] * x1",
+    ),
+    Mutant(
+        "empty_product_drops_pg", ENUMERATION,
+        "result = [1] * (self.ps.n + 1)",
+        "result = [1] * self.ps.n",
+    ),
+    Mutant(
+        "pivot_break_only_at_zero", ENUMERATION,
+        "if c <= 1:  # only 0 beats 1, and then the one branch dies too",
+        "if c < 1:",
+        "the break only ends the pivot search early: any pivot u gives a "
+        "complete branching, so the triangulations are the same, found more slowly",
+    ),
+    Mutant(
+        "split_frontier_never_grows", ENUMERATION,
+        "frontier |= grow",
+        "pass",
+    ),
+    Mutant(
+        "sweep_later_endpoint_nearest_first", ENUMERATION,
+        "return lambda k: (spans[k][0], -spans[k][1])",
+        "return lambda k: (spans[k][0], spans[k][1])",
+    ),
+    Mutant(
+        "crossing_side_test_one_sided", "src/planegraphs/crossings.py",
+        "rest = right & (ccw_i[p] ^ ccw_j[p])",
+        "rest = right & ccw_i[p]",
+    ),
+    Mutant(
+        "triangulations_ascending", ENUMERATION,
+        'found.sort(key=lambda edges: format(edges, f"0{m}b")[::-1], reverse=True)',
+        'found.sort(key=lambda edges: format(edges, f"0{m}b")[::-1], reverse=False)',
+    ),
+    Mutant(
+        "lp_multiplier_one_seventh", "src/planegraphs/charging.py",
+        "y9, y1 = Fraction(2, 7), Fraction(3, 7)",
+        "y9, y1 = Fraction(1, 7), Fraction(3, 7)",
+    ),
+    Mutant(
+        "pi_hi_below_pi", "src/planegraphs/certified.py",
+        "PI_HI = Fraction(3141592653589794, 10**15)",
+        "PI_HI = Fraction(3141592653589793, 10**15)",
+    ),
+    Mutant(
+        "triangular_hull_at_least_three", "src/planegraphs/geometry.py",
+        "return len(convex_hull(ps)) == 3",
+        "return len(convex_hull(ps)) >= 3",
+    ),
 ]
 
 
@@ -122,9 +182,10 @@ def mutated(source: str, mutant: Mutant) -> str:
 
 
 def suite_order(tests: Path, mutant: Mutant) -> list[str]:
-    """Every test file, the one named after the mutated module first."""
+    """Every test file but the sync test, the one named after the mutated
+    module first."""
     first = f"test_{Path(mutant.file).stem}.py"
-    names = sorted(p.name for p in tests.glob("test_*.py"))
+    names = sorted(p.name for p in tests.glob("test_*.py") if p.name != SYNC_TEST)
     return [f"tests/{name}" for name in sorted(names, key=lambda name: name != first)]
 
 
